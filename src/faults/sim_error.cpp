@@ -8,7 +8,6 @@ const char* to_string(SimErrorCode code) {
   switch (code) {
     case SimErrorCode::kInvalidSpec: return "invalid-spec";
     case SimErrorCode::kUnknownMessage: return "unknown-message";
-    case SimErrorCode::kBadRecipient: return "bad-recipient";
     case SimErrorCode::kStepLimitExceeded: return "step-limit";
     case SimErrorCode::kTimeLimitExceeded: return "time-limit";
     case SimErrorCode::kNoProgress: return "no-progress";

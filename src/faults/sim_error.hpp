@@ -5,8 +5,8 @@
 // injected (or a harness bug corrupts a schedule), the simulators must stop
 // *reporting* instead of aborting. A SimError pinpoints where a run left the
 // well-formed space: which step, which process, at what model time, and why.
-// Every former hard-abort branch in the run loops and the MPM network now
-// produces one of these instead.
+// Every former hard-abort branch in the run loops now produces one of these
+// instead.
 
 #include <cstdint>
 #include <optional>
@@ -20,7 +20,6 @@ namespace sesp {
 enum class SimErrorCode : std::uint8_t {
   kInvalidSpec,           // problem spec / topology rejected before stepping
   kUnknownMessage,        // delivery of a MsgId not in transit
-  kBadRecipient,          // send addressed outside the process range
   kStepLimitExceeded,     // watchdog: compute-step budget exhausted
   kTimeLimitExceeded,     // watchdog: model-time budget exhausted
   kNoProgress,            // watchdog: event time pinned (zero-gap livelock)

@@ -1,20 +1,12 @@
 #include "mpm/mpm_simulator.hpp"
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "mpm/message.hpp"
-#include "sim/calendar_queue.hpp"
 
 namespace sesp {
-
-// The hot loop drains the calendar queue in same-time lane runs: all compute
-// steps at a timestamp, then all deliveries (docs/performance.md). The pop
-// order — and with it every observable: trace bytes, fault-hook RNG
-// consumption, watchdog trip points, gauge values — is bit-identical to the
-// old (time, kind, seq) comparison heap, because delivery events never spawn
-// events and a compute step only ever schedules at or after its own time.
-// sim_core_equiv_test and the golden corpus pin this.
 
 MpmSimulator::MpmSimulator(const ProblemSpec& spec,
                            const TimingConstraints& constraints,
@@ -29,29 +21,22 @@ MpmSimulator::MpmSimulator(const ProblemSpec& spec,
       faults_(faults),
       observer_(observer) {}
 
-MpmRunResult MpmSimulator::run(const MpmRunLimits& limits) {
+MpmRunResult MpmSimulator::run(const RunLimits& limits) {
   const std::int32_t n = spec_.n;
-  obs::Observer* const o = obs::resolve(observer_);
-  obs::Profiler* const prof = o ? o->profiler : nullptr;
-  obs::Span run_span(o ? o->trace : nullptr, "mpm.run", "sim",
-                     o && o->trace
-                         ? obs::args_object(
-                               {obs::arg_int("n", n),
-                                obs::arg_int("s", spec_.s)})
-                         : std::string());
-  if (o && o->runs) o->runs->inc();
+  sim::EventKernel<MpmRunResult> k(
+      "mpm.run",
+      [&] {
+        return obs::args_object(
+            {obs::arg_int("n", n), obs::arg_int("s", spec_.s)});
+      },
+      observer_, limits, scheduler_, faults_, &delays_);
   MpmRunResult result{
       TimedComputation(Substrate::kMessagePassing, std::max(n, 0),
                        std::max(n, 0)),
       false, false, 0, 0, std::nullopt, {}};
-  if (n <= 0) {
-    SimError err;
-    err.code = SimErrorCode::kInvalidSpec;
-    err.detail = "MPM needs n >= 1 port processes, got " + std::to_string(n);
-    result.error = std::move(err);
-    obs::observe_error(o, *result.error);
-    return result;
-  }
+  if (n <= 0)
+    return k.reject(std::move(result), "MPM needs n >= 1 port processes, got " +
+                                           std::to_string(n));
   TimedComputation& trace = result.trace;
   // Pre-size the logs to the step budget: a budget-bounded run otherwise
   // reallocates the step log ~18 times, and the final doublings memcpy tens
@@ -67,272 +52,48 @@ MpmRunResult MpmSimulator::run(const MpmRunLimits& limits) {
   algs.reserve(static_cast<std::size_t>(n));
   for (ProcessId p = 0; p < n; ++p)
     algs.push_back(factory_.create(p, spec_, constraints_));
-
-  CalendarQueue queue;
-  obs::SampledPhaseTimer pop_timer(prof, obs::ProfilePhase::kEventQueuePop);
-  obs::SampledPhaseTimer deliver_timer(prof, obs::ProfilePhase::kDeliver);
-  obs::SampledPhaseTimer step_timer(prof, obs::ProfilePhase::kProcessStep);
-  obs::SampledPhaseTimer sched_timer(prof, obs::ProfilePhase::kSchedule);
-
-  std::vector<std::int64_t> step_count(static_cast<std::size_t>(n), 0);
-  // Messages delivered to each process but not yet picked up by a step (the
-  // paper's buf_p, as message ids). The Network substrate is bypassed: a
-  // step reconstructs each payload from the trace's own MessageRecord — the
-  // same cache line the loop writes deliver_step into — so the hot loop
-  // maintains no separate in-transit structure (docs/performance.md "Data
-  // layout"). Per-process vectors are cleared, never destroyed: capacity is
-  // reused across the whole run.
-  std::vector<std::vector<MsgId>> pending(static_cast<std::size_t>(n));
-  std::int32_t non_idle = n;
   // Per-step receive scratch, reused across the whole run so the steady
   // state allocates nothing.
   std::vector<MpmMessage> received;
-  // Hot-loop observer instruments, resolved once (the compiler cannot hoist
-  // the loads past the loop's stores itself).
-  obs::Gauge* const g_queue_depth = o ? o->event_queue_depth : nullptr;
-  obs::Gauge* const g_pending_depth = o ? o->pending_depth : nullptr;
-  obs::Counter* const c_delivered = o ? o->messages_delivered : nullptr;
-  obs::Counter* const c_steps = o ? o->steps : nullptr;
-  obs::Counter* const c_sent = o ? o->messages_sent : nullptr;
-  obs::Counter* const c_dropped = o ? o->messages_dropped : nullptr;
 
-  // Schedules p's next compute step, applying any injected timing violation
-  // and rejecting schedules that run backwards in time.
-  auto schedule_step = [&](ProcessId p, std::optional<Time> prev,
-                           std::int64_t index) -> bool {
-    sched_timer.begin();
-    Time t = scheduler_.next_step_time(p, prev, index);
-    const Time floor = prev.value_or(Time(0));
-    if (faults_) {
-      const Time scheduled = t;
-      t = faults_->perturb_step_time(p, index, floor, t);
-      if (t != scheduled) obs::observe_fault(o, "timing", p, t);
+  // A step drains buf_p, runs the algorithm and broadcasts. buf_p holds
+  // message ids only: the payloads are rebuilt from the trace's own
+  // MessageRecords (the same cache line a delivery writes deliver_step
+  // into), so the MPM keeps no separate in-transit structure.
+  const auto step = [&](ProcessId p, const Time& t) {
+    std::vector<MsgId>& buf = k.pending(p);
+    received.clear();
+    for (const MsgId id : buf) {
+      const MessageRecord& m = trace.messages()[static_cast<std::size_t>(id)];
+      received.push_back(MpmMessage{m.sender, m.session, m.steps, m.done});
     }
-    if (t < floor) {
-      SimError err;
-      err.code = SimErrorCode::kNonMonotonicSchedule;
-      err.detail = "scheduled t=" + t.to_string() + " before t=" +
-                   floor.to_string();
-      err.process = p;
-      err.step_index = static_cast<std::int64_t>(trace.steps().size());
-      err.time = floor;
-      result.error = std::move(err);
-      sched_timer.end();
-      return false;
-    }
-    queue.push_compute(t, p);
-    sched_timer.end();
-    return true;
+    const MpmStepResult action = algs[static_cast<std::size_t>(p)]->on_step(
+        std::span<const MpmMessage>(received.data(), received.size()));
+
+    StepRecord& st = trace.append_slot();
+    st.kind = StepKind::kCompute;
+    st.process = p;
+    st.time = t;
+    st.port = p;  // in the MPM every compute step of p involves buf_p
+    st.idle_after = action.idle;
+    const std::size_t step_index = trace.steps().size() - 1;
+    for (const MsgId id : buf)
+      trace.mutable_messages()[static_cast<std::size_t>(id)].receive_step =
+          step_index;
+    buf.clear();
+
+    if (action.broadcast)
+      for (ProcessId q = 0; q < n; ++q)
+        k.send(p, q, action.message, t, [](MsgId) {});
+    return action.idle;
   };
-
-  for (ProcessId p = 0; p < n; ++p)
-    if (!schedule_step(p, std::nullopt, 0)) {
-      obs::observe_error(o, *result.error);
-      return result;
-    }
-
-  Time last_event_time(0);
-  std::int64_t stagnant_events = 0;
-  bool stop = false;
-  CalendarQueue::Popped ev;
-
-  // Per-event bookkeeping shared by both lanes, in the exact order of the
-  // old loop: depth gauge (pre-pop queue size), then budget watchdogs, then
-  // the no-progress watchdog. True means a watchdog tripped.
-  auto watchdogs = [&]() -> bool {
-    if (g_queue_depth)
-      g_queue_depth->set(static_cast<std::int64_t>(queue.size()) + 1);
-    if (result.compute_steps >= limits.max_steps ||
-        limits.max_time < ev.time) {
-      result.hit_limit = true;
-      SimError err;
-      const bool steps = result.compute_steps >= limits.max_steps;
-      err.code = steps ? SimErrorCode::kStepLimitExceeded
-                       : SimErrorCode::kTimeLimitExceeded;
-      err.detail = steps ? "compute-step budget " +
-                               std::to_string(limits.max_steps) + " exhausted"
-                         : "model-time budget " + limits.max_time.to_string() +
-                               " exhausted";
-      err.step_index = static_cast<std::int64_t>(trace.steps().size());
-      err.time = ev.time;
-      result.error = std::move(err);
-      return true;
-    }
-    if (ev.time == last_event_time) {
-      if (++stagnant_events > limits.max_stagnant_events) {
-        result.hit_limit = true;
-        SimError err;
-        err.code = SimErrorCode::kNoProgress;
-        err.detail = "time pinned at t=" + ev.time.to_string() + " for " +
-                     std::to_string(stagnant_events) + " events";
-        err.step_index = static_cast<std::int64_t>(trace.steps().size());
-        err.time = ev.time;
-        result.error = std::move(err);
-        return true;
-      }
-    } else {
-      last_event_time = ev.time;
-      stagnant_events = 0;
-    }
-    return false;
-  };
-
-  while (!stop && !queue.empty() && non_idle > 0) {
-    pop_timer.begin();
-    const CalendarQueue::Lane lane = queue.peek_lane();
-    pop_timer.end();
-
-    if (lane == CalendarQueue::Lane::kDeliver) {
-      deliver_timer.begin();
-      do {
-        queue.pop(ev);
-        if (watchdogs()) {
-          stop = true;
-          break;
-        }
-        StepRecord& st = trace.append_slot();
-        st.kind = StepKind::kDeliver;
-        st.process = kNetworkProcess;
-        st.time = ev.time;
-        st.delivered = ev.message;
-        const std::size_t index = trace.steps().size() - 1;
-        MessageRecord& rec =
-            trace.mutable_messages()[static_cast<std::size_t>(ev.message)];
-        rec.deliver_step = index;
-        pending[static_cast<std::size_t>(rec.recipient)].push_back(
-            ev.message);
-        if (c_delivered) {
-          c_delivered->inc();
-          g_pending_depth->set(static_cast<std::int64_t>(
-              pending[static_cast<std::size_t>(rec.recipient)].size()));
-        }
-      } while (!queue.empty() &&
-               queue.peek_lane() == CalendarQueue::Lane::kDeliver);
-      deliver_timer.end();
-      continue;
-    }
-
-    step_timer.begin();
-    do {
-      queue.pop(ev);
-      if (watchdogs()) {
-        stop = true;
-        break;
-      }
-
-      const ProcessId p = ev.process;
-      const auto pi = static_cast<std::size_t>(p);
-
-      // Crash-stop: the process halts in place of this step; it never idles
-      // and takes no further steps. Messages already in flight to it still
-      // deliver into its (never drained) buffer.
-      if (faults_ && faults_->crash_now(p, step_count[pi], ev.time)) {
-        obs::observe_fault(o, "crash", p, ev.time);
-        result.crashed.push_back(p);
-        --non_idle;
-        continue;
-      }
-
-      // Receive half of the step: rebuild buf_p's payloads from the trace's
-      // message records, in delivery order (the scratch vector keeps its
-      // capacity, so steady-state steps do no heap traffic).
-      received.clear();
-      for (const MsgId id : pending[pi]) {
-        const MessageRecord& m =
-            trace.messages()[static_cast<std::size_t>(id)];
-        received.push_back(MpmMessage{m.sender, m.session, m.steps, m.done});
-      }
-      const MpmStepResult action = algs[pi]->on_step(
-          std::span<const MpmMessage>(received.data(), received.size()));
-
-      StepRecord& st = trace.append_slot();
-      st.kind = StepKind::kCompute;
-      st.process = p;
-      st.time = ev.time;
-      st.port = p;  // in the MPM every compute step of p involves buf_p
-      st.idle_after = action.idle;
-      const std::size_t step_index = trace.steps().size() - 1;
-      ++result.compute_steps;
-      if (c_steps) c_steps->inc();
-
-      // Mark receipt of everything drained at this step.
-      for (const MsgId id : pending[pi])
-        trace.mutable_messages()[static_cast<std::size_t>(id)].receive_step =
-            step_index;
-      pending[pi].clear();
-
-      if (action.broadcast) {
-        for (ProcessId q = 0; q < n && !result.error; ++q) {
-          MsgId id;
-          {
-            MessageRecord& rec = trace.append_message_slot();
-            rec.sender = p;
-            rec.recipient = q;
-            rec.send_step = step_index;
-            rec.session = action.message.session;
-            rec.steps = action.message.steps;
-            rec.done = action.message.done;
-            id = rec.id;
-          }
-          ++result.messages_sent;
-          if (c_sent) c_sent->inc();
-
-          const MessageAction act =
-              faults_ ? faults_->on_send(id, p, q, ev.time) : MessageAction{};
-          if (act.drop) {  // lost: sent but never enters the net
-            if (c_dropped) c_dropped->inc();
-            obs::observe_fault(o, "drop", p, ev.time);
-            continue;
-          }
-          if (act.extra_delay.is_positive())
-            obs::observe_fault(o, "delay", p, ev.time);
-
-          const Duration delay =
-              delays_.delay(p, q, ev.time, id) + act.extra_delay;
-          queue.push_deliver(ev.time + delay, q, id);
-
-          if (act.duplicate) {
-            // The duplicate is a distinct trace message with the same
-            // payload, delivered after an extra delay (copied before the
-            // append so the source reference cannot dangle).
-            obs::observe_fault(o, "duplicate", p, ev.time);
-            MessageRecord dup =
-                trace.messages()[static_cast<std::size_t>(id)];
-            const MsgId dup_id = trace.append_message(dup);
-            queue.push_deliver(ev.time + delay + act.extra_delay, q, dup_id);
-            ++result.messages_sent;
-            if (c_sent) c_sent->inc();
-          }
-        }
-        if (result.error) {
-          stop = true;
-          break;
-        }
-      }
-
-      ++step_count[pi];
-
-      if (action.idle) {
-        --non_idle;
-      } else if (!schedule_step(p, ev.time, step_count[pi])) {
-        stop = true;
-        break;
-      }
-    } while (non_idle > 0 && !queue.empty() &&
-             queue.peek_lane() == CalendarQueue::Lane::kCompute);
-    step_timer.end();
-  }
-
-  result.completed = non_idle == 0 && !result.error;
-  if (result.error) obs::observe_error(o, *result.error);
-  obs::observe_watchdog_margins(o, result.compute_steps, limits.max_steps,
-                                last_event_time, limits.max_time);
-  if (o && o->trace)
-    run_span.set_args(obs::args_object(
+  k.run(result, step, [](MsgId, const Time&) { return true; }, [&] {
+    return obs::args_object(
         {obs::arg_int("n", n), obs::arg_int("s", spec_.s),
          obs::arg_int("steps", result.compute_steps),
          obs::arg_int("messages", result.messages_sent),
-         obs::arg_int("completed", result.completed ? 1 : 0)}));
+         obs::arg_int("completed", result.completed ? 1 : 0)});
+  });
   return result;
 }
 

@@ -10,18 +10,9 @@
 // message delivered "at" a step time is only seen at the process's *next*
 // step — the worst admissible interleaving.
 //
-// An optional FaultInjector turns the executor into a chaos harness:
-// crash-stops, message drop/duplication/extra delay and timing violations
-// are applied at the corresponding hook points. Ill-formed situations —
-// injected or not — end the run with a structured SimError in the result
-// instead of terminating the process, and watchdogs (step budget, time
-// budget, no-progress detection) bound every run.
-//
-// An optional obs::Observer (same nullable pattern) instruments the run:
-// step/message counters, queue-depth gauges, watchdog-margin histograms, a
-// run span, and a trace event per injected fault and per SimError. With no
-// observer attached (explicit or process default) every hook is a single
-// null check.
+// The event loop, the FaultInjector hooks, the watchdogs and the
+// obs::Observer instrumentation are the shared event kernel's
+// (sim/event_kernel.hpp, docs/performance.md "Event kernel").
 
 #include <cstdint>
 #include <memory>
@@ -35,24 +26,17 @@
 #include "model/timed_computation.hpp"
 #include "mpm/algorithm.hpp"
 #include "obs/observer.hpp"
+#include "sim/event_kernel.hpp"
 #include "timing/constraints.hpp"
 
 namespace sesp {
 
-struct MpmRunLimits {
-  // Stop the run (and flag it) if it exceeds either limit before all port
-  // processes idle; guards against broken non-terminating algorithms.
-  std::int64_t max_steps = 2'000'000;
-  Time max_time = Time(1'000'000'000);
-  // No-progress watchdog: maximum consecutive events at one model time
-  // before the run is declared livelocked (zero-gap schedules).
-  std::int64_t max_stagnant_events = 100'000;
-};
+using MpmRunLimits = RunLimits;
 
 struct MpmRunResult {
   TimedComputation trace;
   bool completed = false;     // every port process idled or crash-stopped
-  bool hit_limit = false;     // stopped by MpmRunLimits instead
+  bool hit_limit = false;     // stopped by RunLimits instead
   std::int64_t compute_steps = 0;
   std::int64_t messages_sent = 0;
   // Structured diagnostics: set when the run left the well-formed space
@@ -74,7 +58,7 @@ class MpmSimulator {
                DelayStrategy& delays, FaultInjector* faults = nullptr,
                obs::Observer* observer = nullptr);
 
-  MpmRunResult run(const MpmRunLimits& limits = MpmRunLimits{});
+  MpmRunResult run(const RunLimits& limits = RunLimits{});
 
  private:
   ProblemSpec spec_;

@@ -11,7 +11,6 @@ const char* error_tag(SimErrorCode code) {
   switch (code) {
     case SimErrorCode::kInvalidSpec: return "invalid_spec";
     case SimErrorCode::kUnknownMessage: return "unknown_message";
-    case SimErrorCode::kBadRecipient: return "bad_recipient";
     case SimErrorCode::kStepLimitExceeded: return "step_limit";
     case SimErrorCode::kTimeLimitExceeded: return "time_limit";
     case SimErrorCode::kNoProgress: return "no_progress";

@@ -1,9 +1,9 @@
 #include "p2p/p2p_simulator.hpp"
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
-
-#include "sim/calendar_queue.hpp"
 
 namespace sesp {
 
@@ -70,10 +70,6 @@ class PayloadArena {
 
 }  // namespace
 
-// Same calendar-queue lane-run structure as MpmSimulator::run — see the
-// equivalence note there; the golden corpus and sim_core_equiv_test pin
-// bit-identical traces.
-
 P2pSimulator::P2pSimulator(const ProblemSpec& spec,
                            const TimingConstraints& constraints,
                            const Topology& topology,
@@ -89,17 +85,16 @@ P2pSimulator::P2pSimulator(const ProblemSpec& spec,
       faults_(faults),
       observer_(observer) {}
 
-P2pRunResult P2pSimulator::run(const P2pRunLimits& limits) {
+
+P2pRunResult P2pSimulator::run(const RunLimits& limits) {
   const std::int32_t n = spec_.n;
-  obs::Observer* const o = obs::resolve(observer_);
-  obs::Profiler* const prof = o ? o->profiler : nullptr;
-  obs::Span run_span(o ? o->trace : nullptr, "p2p.run", "sim",
-                     o && o->trace
-                         ? obs::args_object(
-                               {obs::arg_int("n", n),
-                                obs::arg_int("s", spec_.s)})
-                         : std::string());
-  if (o && o->runs) o->runs->inc();
+  sim::EventKernel<P2pRunResult> k(
+      "p2p.run",
+      [&] {
+        return obs::args_object(
+            {obs::arg_int("n", n), obs::arg_int("s", spec_.s)});
+      },
+      observer_, limits, scheduler_, faults_, &delays_);
   P2pRunResult result{TimedComputation(Substrate::kMessagePassing,
                                        std::max(n, 0), std::max(n, 0)),
                       false,
@@ -109,16 +104,11 @@ P2pRunResult P2pSimulator::run(const P2pRunLimits& limits) {
                       topology_.num_nodes() == n ? topology_.diameter() : 0,
                       std::nullopt,
                       {}};
-  if (n <= 0 || topology_.num_nodes() != n || !topology_.connected()) {
-    SimError err;
-    err.code = SimErrorCode::kInvalidSpec;
-    err.detail = "topology must have n=" + std::to_string(n) +
-                 " connected nodes (has " +
-                 std::to_string(topology_.num_nodes()) + ")";
-    result.error = std::move(err);
-    obs::observe_error(o, *result.error);
-    return result;
-  }
+  if (n <= 0 || topology_.num_nodes() != n || !topology_.connected())
+    return k.reject(std::move(result),
+                    "topology must have n=" + std::to_string(n) +
+                        " connected nodes (has " +
+                        std::to_string(topology_.num_nodes()) + ")");
   TimedComputation& trace = result.trace;
 
   std::vector<std::unique_ptr<P2pAlgorithm>> algs;
@@ -129,250 +119,59 @@ P2pRunResult P2pSimulator::run(const P2pRunLimits& limits) {
   // Accumulated gossip view per process, and in-flight message payloads.
   std::vector<Knowledge> view(static_cast<std::size_t>(n));
   PayloadArena payloads;
-  // Delivered-but-not-received payloads per process.
-  std::vector<std::vector<MsgId>> pending(static_cast<std::size_t>(n));
 
-  CalendarQueue queue;
-  obs::SampledPhaseTimer pop_timer(prof, obs::ProfilePhase::kEventQueuePop);
-  obs::SampledPhaseTimer deliver_timer(prof, obs::ProfilePhase::kDeliver);
-  obs::SampledPhaseTimer step_timer(prof, obs::ProfilePhase::kProcessStep);
-  obs::SampledPhaseTimer sched_timer(prof, obs::ProfilePhase::kSchedule);
-
-  std::vector<std::int64_t> step_count(static_cast<std::size_t>(n), 0);
-  std::int32_t non_idle = n;
-
-  auto schedule_step = [&](ProcessId p, std::optional<Time> prev,
-                           std::int64_t index) -> bool {
-    sched_timer.begin();
-    Time t = scheduler_.next_step_time(p, prev, index);
-    const Time floor = prev.value_or(Time(0));
-    if (faults_) {
-      const Time scheduled = t;
-      t = faults_->perturb_step_time(p, index, floor, t);
-      if (t != scheduled) obs::observe_fault(o, "timing", p, t);
+  // A step merges the payloads delivered to p into its view, runs the
+  // algorithm, and gossips the full view to every neighbour.
+  const auto step = [&](ProcessId p, const Time& t) {
+    const auto pi = static_cast<std::size_t>(p);
+    // The step is appended after the algorithm runs (its idle flag is part
+    // of the record), so its index is the prospective one.
+    const std::size_t step_index = trace.steps().size();
+    std::vector<MsgId>& buf = k.pending(p);
+    for (const MsgId id : buf) {
+      view[pi].merge(payloads.payload(id));
+      payloads.release(id);
+      trace.mutable_messages()[static_cast<std::size_t>(id)].receive_step =
+          step_index;
     }
-    if (t < floor) {
-      SimError err;
-      err.code = SimErrorCode::kNonMonotonicSchedule;
-      err.detail = "scheduled t=" + t.to_string() + " before t=" +
-                   floor.to_string();
-      err.process = p;
-      err.step_index = static_cast<std::int64_t>(trace.steps().size());
-      err.time = floor;
-      result.error = std::move(err);
-      sched_timer.end();
-      return false;
-    }
-    queue.push_compute(t, p);
-    sched_timer.end();
-    return true;
+    buf.clear();
+
+    P2pAlgorithm& alg = *algs[pi];
+    alg.on_step(view[pi]);
+    const PortInfo own = alg.advertised();
+    view[pi].record(p, own);
+    const bool idle = alg.is_idle();
+
+    StepRecord& st = trace.append_slot();
+    st.kind = StepKind::kCompute;
+    st.process = p;
+    st.time = t;
+    st.port = p;  // every step of a port process involves its buf
+    st.idle_after = idle;
+
+    for (const ProcessId q : topology_.neighbors(p))
+      k.send(p, q, own, t, [&](MsgId id) { payloads.send(id, view[pi]); });
+    return idle;
   };
-
-  for (ProcessId p = 0; p < n; ++p)
-    if (!schedule_step(p, std::nullopt, 0)) {
-      obs::observe_error(o, *result.error);
-      return result;
-    }
-
-  Time last_event_time(0);
-  std::int64_t stagnant_events = 0;
-  bool stop = false;
-  CalendarQueue::Popped ev;
-
-  auto watchdogs = [&]() -> bool {
-    if (o && o->event_queue_depth)
-      o->event_queue_depth->set(static_cast<std::int64_t>(queue.size()) + 1);
-    if (result.compute_steps >= limits.max_steps ||
-        limits.max_time < ev.time) {
-      result.hit_limit = true;
-      SimError err;
-      const bool steps = result.compute_steps >= limits.max_steps;
-      err.code = steps ? SimErrorCode::kStepLimitExceeded
-                       : SimErrorCode::kTimeLimitExceeded;
-      err.detail = steps ? "compute-step budget " +
-                               std::to_string(limits.max_steps) + " exhausted"
-                         : "model-time budget " + limits.max_time.to_string() +
-                               " exhausted";
-      err.step_index = static_cast<std::int64_t>(trace.steps().size());
-      err.time = ev.time;
-      result.error = std::move(err);
+  // A delivery must carry a payload that is still in flight.
+  const auto accept = [&](MsgId id, const Time& t) {
+    if (payloads.state(id) == PayloadArena::kInFlight) {
+      payloads.mark_delivered(id);
       return true;
     }
-    if (ev.time == last_event_time) {
-      if (++stagnant_events > limits.max_stagnant_events) {
-        result.hit_limit = true;
-        SimError err;
-        err.code = SimErrorCode::kNoProgress;
-        err.detail = "time pinned at t=" + ev.time.to_string() + " for " +
-                     std::to_string(stagnant_events) + " events";
-        err.step_index = static_cast<std::int64_t>(trace.steps().size());
-        err.time = ev.time;
-        result.error = std::move(err);
-        return true;
-      }
-    } else {
-      last_event_time = ev.time;
-      stagnant_events = 0;
-    }
+    k.fail(SimErrorCode::kUnknownMessage, "deliver of message not in transit",
+           t)
+        .message = id;
     return false;
   };
-
-  while (!stop && !queue.empty() && non_idle > 0) {
-    pop_timer.begin();
-    const CalendarQueue::Lane lane = queue.peek_lane();
-    pop_timer.end();
-
-    if (lane == CalendarQueue::Lane::kDeliver) {
-      deliver_timer.begin();
-      do {
-        queue.pop(ev);
-        if (watchdogs()) {
-          stop = true;
-          break;
-        }
-        if (payloads.state(ev.message) != PayloadArena::kInFlight) {
-          SimError err;
-          err.code = SimErrorCode::kUnknownMessage;
-          err.detail = "deliver of message not in transit";
-          err.message = ev.message;
-          err.step_index = static_cast<std::int64_t>(trace.steps().size());
-          err.time = ev.time;
-          result.error = std::move(err);
-          stop = true;
-          break;
-        }
-        StepRecord st;
-        st.kind = StepKind::kDeliver;
-        st.process = kNetworkProcess;
-        st.time = ev.time;
-        st.delivered = ev.message;
-        const std::size_t index = trace.append(st);
-        MessageRecord& rec =
-            trace.mutable_messages()[static_cast<std::size_t>(ev.message)];
-        rec.deliver_step = index;
-        pending[static_cast<std::size_t>(rec.recipient)].push_back(
-            ev.message);
-        if (o && o->messages_delivered) {
-          o->messages_delivered->inc();
-          o->pending_depth->set(static_cast<std::int64_t>(
-              pending[static_cast<std::size_t>(rec.recipient)].size()));
-        }
-        payloads.mark_delivered(ev.message);
-      } while (!queue.empty() &&
-               queue.peek_lane() == CalendarQueue::Lane::kDeliver);
-      deliver_timer.end();
-      continue;
-    }
-
-    step_timer.begin();
-    do {
-      queue.pop(ev);
-      if (watchdogs()) {
-        stop = true;
-        break;
-      }
-
-      const ProcessId p = ev.process;
-      const auto pi = static_cast<std::size_t>(p);
-
-      // Crash-stop: the process halts; its knowledge stops spreading.
-      if (faults_ && faults_->crash_now(p, step_count[pi], ev.time)) {
-        obs::observe_fault(o, "crash", p, ev.time);
-        result.crashed.push_back(p);
-        --non_idle;
-        continue;
-      }
-
-      // Receive: merge all delivered payloads. The step is appended after
-      // the algorithm runs (its idle flag is part of the record), so the
-      // index is the prospective one.
-      const std::size_t step_index = trace.steps().size();
-      for (const MsgId id : pending[pi]) {
-        view[pi].merge(payloads.payload(id));
-        payloads.release(id);
-        trace.mutable_messages()[static_cast<std::size_t>(id)].receive_step =
-            step_index;
-      }
-      pending[pi].clear();
-
-      P2pAlgorithm& alg = *algs[pi];
-      alg.on_step(view[pi]);
-      const PortInfo own = alg.advertised();
-      view[pi].record(p, own);
-      const bool idle = alg.is_idle();
-
-      StepRecord st;
-      st.kind = StepKind::kCompute;
-      st.process = p;
-      st.time = ev.time;
-      st.port = p;  // every step of a port process involves its buf
-      st.idle_after = idle;
-      trace.append(st);
-
-      // Gossip the full view to every neighbour.
-      for (const ProcessId q : topology_.neighbors(p)) {
-        MessageRecord rec;
-        rec.sender = p;
-        rec.recipient = q;
-        rec.send_step = step_index;
-        rec.session = own.session;
-        rec.steps = own.steps;
-        rec.done = own.done;
-        const MsgId id = trace.append_message(rec);
-        ++result.messages_sent;
-        if (o && o->messages_sent) o->messages_sent->inc();
-
-        const MessageAction act =
-            faults_ ? faults_->on_send(id, p, q, ev.time) : MessageAction{};
-        if (act.drop) {  // lost: sent but never delivered
-          if (o && o->messages_dropped) o->messages_dropped->inc();
-          obs::observe_fault(o, "drop", p, ev.time);
-          continue;
-        }
-        if (act.extra_delay.is_positive())
-          obs::observe_fault(o, "delay", p, ev.time);
-
-        const Duration delay =
-            delays_.delay(p, q, ev.time, id) + act.extra_delay;
-        payloads.send(id, view[pi]);
-        queue.push_deliver(ev.time + delay, q, id);
-
-        if (act.duplicate) {
-          obs::observe_fault(o, "duplicate", p, ev.time);
-          MessageRecord dup = rec;
-          const MsgId dup_id = trace.append_message(dup);
-          payloads.send(dup_id, view[pi]);
-          queue.push_deliver(ev.time + delay + act.extra_delay, q, dup_id);
-          ++result.messages_sent;
-          if (o && o->messages_sent) o->messages_sent->inc();
-        }
-      }
-
-      ++result.compute_steps;
-      if (o && o->steps) o->steps->inc();
-      ++step_count[pi];
-      if (idle) {
-        --non_idle;
-      } else if (!schedule_step(p, ev.time, step_count[pi])) {
-        stop = true;
-        break;
-      }
-    } while (non_idle > 0 && !queue.empty() &&
-             queue.peek_lane() == CalendarQueue::Lane::kCompute);
-    step_timer.end();
-  }
-
-  result.completed = non_idle == 0 && !result.error;
-  if (result.error) obs::observe_error(o, *result.error);
-  obs::observe_watchdog_margins(o, result.compute_steps, limits.max_steps,
-                                last_event_time, limits.max_time);
-  if (o && o->trace)
-    run_span.set_args(obs::args_object(
+  k.run(result, step, accept, [&] {
+    return obs::args_object(
         {obs::arg_int("n", n), obs::arg_int("s", spec_.s),
          obs::arg_int("steps", result.compute_steps),
          obs::arg_int("messages", result.messages_sent),
          obs::arg_int("diameter", result.diameter),
-         obs::arg_int("completed", result.completed ? 1 : 0)}));
+         obs::arg_int("completed", result.completed ? 1 : 0)});
+  });
   return result;
 }
 

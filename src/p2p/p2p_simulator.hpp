@@ -7,11 +7,9 @@
 // bench_diameter experiment measures exactly that factor, which the
 // abstract model's d2 subsumes (conversion note (1) of the paper).
 //
-// Supports the same FaultInjector hooks and watchdog/SimError hardening as
-// MpmSimulator: crash-stop, message drop/duplication/extra delay, timing
-// violations, structured diagnostics instead of aborts. An optional
-// obs::Observer (same nullable pattern) instruments the run with the shared
-// metric/trace vocabulary (see docs/observability.md).
+// The event loop, the FaultInjector hooks, the watchdogs and the
+// obs::Observer instrumentation are the shared event kernel's
+// (sim/event_kernel.hpp, docs/performance.md "Event kernel").
 
 #include <cstdint>
 #include <optional>
@@ -25,15 +23,12 @@
 #include "mpm/topology.hpp"
 #include "obs/observer.hpp"
 #include "p2p/algorithm.hpp"
+#include "sim/event_kernel.hpp"
 #include "timing/constraints.hpp"
 
 namespace sesp {
 
-struct P2pRunLimits {
-  std::int64_t max_steps = 2'000'000;
-  Time max_time = Time(1'000'000'000);
-  std::int64_t max_stagnant_events = 100'000;
-};
+using P2pRunLimits = RunLimits;
 
 struct P2pRunResult {
   TimedComputation trace;
@@ -57,7 +52,7 @@ class P2pSimulator {
                FaultInjector* faults = nullptr,
                obs::Observer* observer = nullptr);
 
-  P2pRunResult run(const P2pRunLimits& limits = P2pRunLimits{});
+  P2pRunResult run(const RunLimits& limits = RunLimits{});
 
  private:
   ProblemSpec spec_;

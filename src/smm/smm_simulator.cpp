@@ -1,18 +1,11 @@
 #include "smm/smm_simulator.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "sim/calendar_queue.hpp"
-
 namespace sesp {
-
-// Only compute events exist in the SMM (relay gossip is itself a compute
-// step on a shared variable), so the calendar queue degenerates to one FIFO
-// lane per distinct time — which is exactly the old (time, seq) heap order.
-// Hot-phase timers are sampled (obs::SampledPhaseTimer) so the profiled run
-// no longer pays two clock reads per event.
 
 std::int32_t smm_total_processes(std::int32_t n, std::int32_t b) {
   SharedMemory scratch(std::max(b, 2));
@@ -32,30 +25,23 @@ SmmSimulator::SmmSimulator(const ProblemSpec& spec,
       faults_(faults),
       observer_(observer) {}
 
-SmmRunResult SmmSimulator::run(const SmmRunLimits& limits) {
+SmmRunResult SmmSimulator::run(const RunLimits& limits) {
   const std::int32_t n = spec_.n;
-  obs::Observer* const o = obs::resolve(observer_);
-  obs::Profiler* const prof = o ? o->profiler : nullptr;
-  obs::Span run_span(o ? o->trace : nullptr, "smm.run", "sim",
-                     o && o->trace
-                         ? obs::args_object(
-                               {obs::arg_int("n", n),
-                                obs::arg_int("s", spec_.s),
-                                obs::arg_int("b", spec_.b)})
-                         : std::string());
-  if (o && o->runs) o->runs->inc();
-  if (n <= 0 || (n > 1 && spec_.b < 2)) {
-    SmmRunResult result{TimedComputation(Substrate::kSharedMemory,
-                                         std::max(n, 0), std::max(n, 0)),
-                        false, false, 0, 0, 0, 0, std::nullopt, {}};
-    SimError err;
-    err.code = SimErrorCode::kInvalidSpec;
-    err.detail = "SMM needs n >= 1 and b >= 2, got n=" + std::to_string(n) +
-                 " b=" + std::to_string(spec_.b);
-    result.error = std::move(err);
-    obs::observe_error(o, *result.error);
-    return result;
-  }
+  sim::EventKernel<SmmRunResult> k(
+      "smm.run",
+      [&] {
+        return obs::args_object({obs::arg_int("n", n),
+                                 obs::arg_int("s", spec_.s),
+                                 obs::arg_int("b", spec_.b)});
+      },
+      observer_, limits, scheduler_, faults_);
+  if (n <= 0 || (n > 1 && spec_.b < 2))
+    return k.reject(
+        SmmRunResult{TimedComputation(Substrate::kSharedMemory,
+                                      std::max(n, 0), std::max(n, 0)),
+                     false, false, 0, 0, 0, 0, std::nullopt, {}},
+        "SMM needs n >= 1 and b >= 2, got n=" + std::to_string(n) +
+            " b=" + std::to_string(spec_.b));
   SharedMemory mem(std::max(spec_.b, 1));
 
   // Port variables: accessed only by their port process, so any b works.
@@ -115,113 +101,28 @@ SmmRunResult SmmSimulator::run(const SmmRunLimits& limits) {
     relay_memo[r].assign(tree.relays()[r].rotation.size(),
                          {kNoStamp, kNoStamp});
 
-  CalendarQueue queue;
-  obs::SampledPhaseTimer pop_timer(prof, obs::ProfilePhase::kEventQueuePop);
-  obs::SampledPhaseTimer step_timer(prof, obs::ProfilePhase::kProcessStep);
-  obs::SampledPhaseTimer sched_timer(prof, obs::ProfilePhase::kSchedule);
-
-  std::vector<std::int64_t> step_count(static_cast<std::size_t>(total), 0);
-  std::int32_t ports_non_idle = n;
-  // Hot-loop observer instruments, resolved once (the compiler cannot hoist
-  // the loads past the loop's stores itself).
-  obs::Gauge* const g_queue_depth = o ? o->event_queue_depth : nullptr;
+  obs::Observer* const o = k.observer();
   obs::Counter* const c_shared_reads = o ? o->shared_reads : nullptr;
-  obs::Counter* const c_steps = o ? o->steps : nullptr;
-
-  auto schedule_step = [&](ProcessId p, std::optional<Time> prev,
-                           std::int64_t index) -> bool {
-    sched_timer.begin();
-    Time t = scheduler_.next_step_time(p, prev, index);
-    const Time floor = prev.value_or(Time(0));
-    if (faults_) {
-      const Time scheduled = t;
-      t = faults_->perturb_step_time(p, index, floor, t);
-      if (t != scheduled) obs::observe_fault(o, "timing", p, t);
+  obs::Counter* const c_shared_writes = o ? o->shared_writes : nullptr;
+  // Write corruption: the read-modify-write loses the variable's previous
+  // contents (lost update) before the step's own write.
+  const auto corrupt = [&](VarId v, ProcessId p, const Time& t,
+                           Knowledge& value) {
+    if (faults_ && faults_->corrupt_write(v, p, t)) {
+      obs::observe_fault(o, "corrupt", p, t);
+      value = Knowledge{};
     }
-    if (t < floor) {
-      SimError err;
-      err.code = SimErrorCode::kNonMonotonicSchedule;
-      err.detail = "scheduled t=" + t.to_string() + " before t=" +
-                   floor.to_string();
-      err.process = p;
-      err.step_index = static_cast<std::int64_t>(trace.steps().size());
-      err.time = floor;
-      result.error = std::move(err);
-      sched_timer.end();
-      return false;
-    }
-    queue.push_compute(t, p);
-    sched_timer.end();
-    return true;
   };
 
-  for (ProcessId p = 0; p < total; ++p)
-    if (!schedule_step(p, std::nullopt, 0)) {
-      obs::observe_error(o, *result.error);
-      return result;
-    }
-
-  Time last_event_time(0);
-  std::int64_t stagnant_events = 0;
-  CalendarQueue::Popped ev;
-
-  while (!queue.empty() && ports_non_idle > 0) {
-    pop_timer.begin();
-    const std::size_t depth = queue.size();
-    queue.pop(ev);
-    pop_timer.end();
-    if (g_queue_depth)
-      g_queue_depth->set(static_cast<std::int64_t>(depth));
-    if (result.compute_steps >= limits.max_steps ||
-        limits.max_time < ev.time) {
-      result.hit_limit = true;
-      SimError err;
-      const bool steps = result.compute_steps >= limits.max_steps;
-      err.code = steps ? SimErrorCode::kStepLimitExceeded
-                       : SimErrorCode::kTimeLimitExceeded;
-      err.detail = steps ? "compute-step budget " +
-                               std::to_string(limits.max_steps) + " exhausted"
-                         : "model-time budget " + limits.max_time.to_string() +
-                               " exhausted";
-      err.step_index = static_cast<std::int64_t>(trace.steps().size());
-      err.time = ev.time;
-      result.error = std::move(err);
-      break;
-    }
-    if (ev.time == last_event_time) {
-      if (++stagnant_events > limits.max_stagnant_events) {
-        result.hit_limit = true;
-        SimError err;
-        err.code = SimErrorCode::kNoProgress;
-        err.detail = "time pinned at t=" + ev.time.to_string() + " for " +
-                     std::to_string(stagnant_events) + " events";
-        err.step_index = static_cast<std::int64_t>(trace.steps().size());
-        err.time = ev.time;
-        result.error = std::move(err);
-        break;
-      }
-    } else {
-      last_event_time = ev.time;
-      stagnant_events = 0;
-    }
-
-    const ProcessId p = ev.process;
+  // A step is one atomic read-modify-write of one shared variable: a port
+  // process accesses its port variable or its tree uplink, a relay gossips
+  // with the next variable of its rotation. Relays never idle.
+  const auto step = [&](ProcessId p, const Time& t) {
     const auto pi = static_cast<std::size_t>(p);
-
-    // Crash-stop: ports never idle afterwards; relays stop gossiping, which
-    // starves the subtree (the watchdog then ends livelocked runs).
-    if (faults_ && faults_->crash_now(p, step_count[pi], ev.time)) {
-      obs::observe_fault(o, "crash", p, ev.time);
-      result.crashed.push_back(p);
-      if (p < n) --ports_non_idle;
-      continue;
-    }
-
-    step_timer.begin();
     StepRecord& st = trace.append_slot();
     st.kind = StepKind::kCompute;
     st.process = p;
-    st.time = ev.time;
+    st.time = t;
 
     bool idle = false;
     if (p < n) {
@@ -244,24 +145,14 @@ SmmRunResult SmmSimulator::run(const SmmRunLimits& limits) {
         Knowledge& value = mem.access(v, p);
         st.var = v;
         st.value_before_digest = value.digest();
-        // Write corruption: the read-modify-write loses the variable's
-        // previous contents (lost update) before this process's write.
-        if (faults_ && faults_->corrupt_write(v, p, ev.time)) {
-          obs::observe_fault(o, "corrupt", p, ev.time);
-          value = Knowledge{};
-        }
+        corrupt(v, p, t, value);
         value.record(p, alg.advertised());
         alg.on_tree_snapshot(value);
         st.value_after_digest = value.digest();
       }
-      if (c_shared_reads) {
-        c_shared_reads->inc();
-        o->shared_writes->inc();
-      }
       idle = alg.is_idle();
       st.idle_after = idle;
     } else {
-      // Relay gossip step.
       const auto r = static_cast<std::size_t>(p - n);
       const RelaySpec& spec = tree.relays()[r];
       const std::size_t slot = relay_pos[r] % spec.rotation.size();
@@ -270,10 +161,7 @@ SmmRunResult SmmSimulator::run(const SmmRunLimits& limits) {
       Knowledge& value = mem.access(v, p);
       st.var = v;
       st.value_before_digest = value.digest();
-      if (faults_ && faults_->corrupt_write(v, p, ev.time)) {
-        obs::observe_fault(o, "corrupt", p, ev.time);
-        value = Knowledge{};
-      }
+      corrupt(v, p, t, value);
       auto& memo = relay_memo[r][slot];
       if (memo.first != value.stamp() ||
           memo.second != relay_knowledge[r].stamp()) {
@@ -282,35 +170,21 @@ SmmRunResult SmmSimulator::run(const SmmRunLimits& limits) {
         memo = {value.stamp(), relay_knowledge[r].stamp()};
       }
       st.value_after_digest = value.digest();
-      if (c_shared_reads) {
-        c_shared_reads->inc();
-        o->shared_writes->inc();
-      }
     }
-
-    ++result.compute_steps;
-    if (c_steps) c_steps->inc();
-    ++step_count[pi];
-    step_timer.end();
-
-    if (idle) {
-      --ports_non_idle;
-    } else if (!schedule_step(p, ev.time, step_count[pi])) {
-      break;
+    if (c_shared_reads) {
+      c_shared_reads->inc();
+      c_shared_writes->inc();
     }
-  }
-
-  result.completed = ports_non_idle == 0 && !result.error;
-  if (result.error) obs::observe_error(o, *result.error);
-  obs::observe_watchdog_margins(o, result.compute_steps, limits.max_steps,
-                                last_event_time, limits.max_time);
-  if (o && o->trace)
-    run_span.set_args(obs::args_object(
+    return idle;
+  };
+  k.run(result, step, sim::NoDeliveries{}, [&] {
+    return obs::args_object(
         {obs::arg_int("n", n), obs::arg_int("s", spec_.s),
          obs::arg_int("b", spec_.b),
          obs::arg_int("steps", result.compute_steps),
          obs::arg_int("relays", result.num_relays),
-         obs::arg_int("completed", result.completed ? 1 : 0)}));
+         obs::arg_int("completed", result.completed ? 1 : 0)});
+  });
   return result;
 }
 

@@ -7,15 +7,11 @@
 // computation with per-step variable digests (for the reordering machinery
 // of Theorem 5.1).
 //
-// An optional FaultInjector adds crash-stops, timing violations and shared
-// variable write corruption (lost updates) at the corresponding hook points;
-// watchdogs (step/time budget, no-progress) bound every run, and ill-formed
-// situations surface as a structured SimError, never an abort.
-//
-// An optional obs::Observer (same nullable pattern) instruments the run:
-// step and shared-variable read/write counters, queue-depth gauges,
-// watchdog-margin histograms, a run span, and a trace event per injected
-// fault and per SimError.
+// The event loop, the FaultInjector hooks, the watchdogs and the
+// obs::Observer instrumentation are the shared event kernel's
+// (sim/event_kernel.hpp, docs/performance.md "Event kernel"); the SMM adds
+// shared-variable write corruption (lost updates) and the shared-variable
+// read/write counters.
 
 #include <cstdint>
 #include <memory>
@@ -28,6 +24,7 @@
 #include "model/ids.hpp"
 #include "model/timed_computation.hpp"
 #include "obs/observer.hpp"
+#include "sim/event_kernel.hpp"
 #include "smm/algorithm.hpp"
 #include "smm/shared_memory.hpp"
 #include "smm/tree_network.hpp"
@@ -35,12 +32,7 @@
 
 namespace sesp {
 
-struct SmmRunLimits {
-  std::int64_t max_steps = 2'000'000;
-  Time max_time = Time(1'000'000'000);
-  // No-progress watchdog: maximum consecutive events at one model time.
-  std::int64_t max_stagnant_events = 100'000;
-};
+using SmmRunLimits = RunLimits;
 
 struct SmmRunResult {
   TimedComputation trace;
@@ -68,7 +60,7 @@ class SmmSimulator {
                FaultInjector* faults = nullptr,
                obs::Observer* observer = nullptr);
 
-  SmmRunResult run(const SmmRunLimits& limits = SmmRunLimits{});
+  SmmRunResult run(const RunLimits& limits = RunLimits{});
 
  private:
   ProblemSpec spec_;

@@ -531,5 +531,127 @@ TEST(DegradationTest, SmmGridClassifiesEveryCell) {
   }
 }
 
+// --- Watchdog parity across substrates --------------------------------------
+
+// A scheduler stuck in time: after a first step at t=1, every step lands at
+// the previous step's time (a zero-gap livelock) or, with `backwards`, one
+// unit before it.
+class StuckScheduler final : public StepScheduler {
+ public:
+  explicit StuckScheduler(bool backwards) : backwards_(backwards) {}
+  Time next_step_time(ProcessId, std::optional<Time> prev,
+                      std::int64_t) override {
+    if (!prev) return Time(1);
+    return backwards_ ? *prev - Duration(1) : *prev;
+  }
+
+ private:
+  bool backwards_;
+};
+
+struct WatchdogCase {
+  std::string substrate;  // "mpm", "smm" or "p2p"
+  SimErrorCode code;
+  std::string detail;
+  std::int64_t step_index;
+  Time time;
+  bool hit_limit;
+};
+
+void PrintTo(const WatchdogCase& c, std::ostream* os) {
+  *os << c.substrate << "/" << to_string(c.code);
+}
+
+class WatchdogParity : public ::testing::TestWithParam<WatchdogCase> {};
+
+// Every simulator reaches each watchdog and scheduling error with the same
+// diagnosis: a step budget of 5, a model-time budget of 5 (steps every 2),
+// a zero-gap livelock cut after 10 stagnant events, and a schedule that
+// runs backwards.
+TEST_P(WatchdogParity, TripsWithTheSameDiagnosis) {
+  const WatchdogCase& c = GetParam();
+  RunLimits limits;
+  std::unique_ptr<StepScheduler> stuck;
+  switch (c.code) {
+    case SimErrorCode::kStepLimitExceeded: limits.max_steps = 5; break;
+    case SimErrorCode::kTimeLimitExceeded: limits.max_time = Time(5); break;
+    case SimErrorCode::kNoProgress:
+      limits.max_stagnant_events = 10;
+      stuck = std::make_unique<StuckScheduler>(false);
+      break;
+    default: stuck = std::make_unique<StuckScheduler>(true); break;
+  }
+  const ProblemSpec spec{3, 4, 2};
+  FixedPeriodScheduler periodic(smm_total_processes(spec.n, spec.b),
+                                Duration(2));
+  StepScheduler& sched = stuck ? *stuck : periodic;
+  FixedDelay delay(Duration(4));
+
+  std::optional<SimError> error;
+  bool hit_limit = false;
+  bool completed = true;
+  const auto take = [&](const auto& run) {
+    error = run.error;
+    hit_limit = run.hit_limit;
+    completed = run.completed;
+  };
+  if (c.substrate == "mpm") {
+    SemiSyncMpmFactory factory{SemiSyncStrategy::kCommunicate};
+    take(MpmSimulator(spec,
+                      TimingConstraints::semi_synchronous(Ratio(1), Ratio(2),
+                                                          Ratio(4)),
+                      factory, sched, delay)
+             .run(limits));
+  } else if (c.substrate == "smm") {
+    SemiSyncSmmFactory factory{SmmSemiSyncStrategy::kCommunicate};
+    take(SmmSimulator(spec,
+                      TimingConstraints::semi_synchronous(Ratio(1), Ratio(2)),
+                      factory, sched)
+             .run(limits));
+  } else {
+    const Topology ring = Topology::ring(spec.n);
+    P2pRoundsFactory factory;
+    take(P2pSimulator(spec, TimingConstraints::asynchronous(Ratio(2), Ratio(4)),
+                      ring, factory, sched, delay)
+             .run(limits));
+  }
+
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(error->code, c.code) << error->to_string();
+  EXPECT_EQ(error->detail, c.detail);
+  EXPECT_EQ(error->step_index, c.step_index);
+  EXPECT_EQ(error->time, std::optional<Time>(c.time));
+  EXPECT_EQ(hit_limit, c.hit_limit);
+  EXPECT_FALSE(completed);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSubstrates, WatchdogParity,
+    ::testing::Values(
+        WatchdogCase{"mpm", SimErrorCode::kStepLimitExceeded,
+                     "compute-step budget 5 exhausted", 5, Time(4), true},
+        WatchdogCase{"mpm", SimErrorCode::kTimeLimitExceeded,
+                     "model-time budget 5 exhausted", 8, Time(6), true},
+        WatchdogCase{"mpm", SimErrorCode::kNoProgress,
+                     "time pinned at t=1 for 11 events", 11, Time(1), true},
+        WatchdogCase{"mpm", SimErrorCode::kNonMonotonicSchedule,
+                     "scheduled t=0 before t=1", 1, Time(1), false},
+        WatchdogCase{"smm", SimErrorCode::kStepLimitExceeded,
+                     "compute-step budget 5 exhausted", 5, Time(2), true},
+        WatchdogCase{"smm", SimErrorCode::kTimeLimitExceeded,
+                     "model-time budget 5 exhausted", 14, Time(6), true},
+        WatchdogCase{"smm", SimErrorCode::kNoProgress,
+                     "time pinned at t=1 for 11 events", 11, Time(1), true},
+        WatchdogCase{"smm", SimErrorCode::kNonMonotonicSchedule,
+                     "scheduled t=0 before t=1", 1, Time(1), false},
+        WatchdogCase{"p2p", SimErrorCode::kStepLimitExceeded,
+                     "compute-step budget 5 exhausted", 5, Time(4), true},
+        WatchdogCase{"p2p", SimErrorCode::kTimeLimitExceeded,
+                     "model-time budget 5 exhausted", 8, Time(6), true},
+        WatchdogCase{"p2p", SimErrorCode::kNoProgress,
+                     "time pinned at t=1 for 11 events", 11, Time(1), true},
+        WatchdogCase{"p2p", SimErrorCode::kNonMonotonicSchedule,
+                     "scheduled t=0 before t=1", 1, Time(1), false}));
+
 }  // namespace
 }  // namespace sesp
