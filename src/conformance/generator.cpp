@@ -5,17 +5,6 @@
 
 #include "adversary/delay_strategies.hpp"
 #include "adversary/step_schedulers.hpp"
-#include "algorithms/mpm/async_alg.hpp"
-#include "algorithms/mpm/broken_algs.hpp"
-#include "algorithms/mpm/periodic_alg.hpp"
-#include "algorithms/mpm/semisync_alg.hpp"
-#include "algorithms/mpm/sporadic_alg.hpp"
-#include "algorithms/mpm/sync_alg.hpp"
-#include "algorithms/smm/async_alg.hpp"
-#include "algorithms/smm/broken_algs.hpp"
-#include "algorithms/smm/periodic_alg.hpp"
-#include "algorithms/smm/semisync_alg.hpp"
-#include "algorithms/smm/sync_alg.hpp"
 #include "model/trace_io.hpp"
 #include "sim/experiment.hpp"
 #include "smm/smm_simulator.hpp"
@@ -192,16 +181,6 @@ std::unique_ptr<DelayStrategy> make_delays(const CaseDescriptor& c) {
   }
 }
 
-std::int64_t parse_toofewsteps(const std::string& name) {
-  const auto colon = name.find(':');
-  if (colon == std::string::npos) return 1;
-  try {
-    return std::max<std::int64_t>(1, std::stoll(name.substr(colon + 1)));
-  } catch (...) {
-    return 1;
-  }
-}
-
 }  // namespace
 
 std::uint64_t case_seed(std::uint64_t base, std::uint64_t cell,
@@ -232,50 +211,6 @@ CaseDescriptor generate_case(TimingModel model, Substrate substrate,
   c.schedule = static_cast<std::int32_t>(
       rng.next_int(0, schedule_pool_size(model, substrate) - 1));
   return c;
-}
-
-std::unique_ptr<SmmAlgorithmFactory> make_smm_factory(
-    const std::string& name) {
-  if (name == "sync") return std::make_unique<SyncSmmFactory>();
-  if (name == "periodic") return std::make_unique<PeriodicSmmFactory>();
-  if (name == "semisync") return std::make_unique<SemiSyncSmmFactory>();
-  if (name == "semisync-stepcount")
-    return std::make_unique<SemiSyncSmmFactory>(SmmSemiSyncStrategy::kStepCount);
-  if (name == "semisync-communicate")
-    return std::make_unique<SemiSyncSmmFactory>(
-        SmmSemiSyncStrategy::kCommunicate);
-  if (name == "async") return std::make_unique<AsyncSmmFactory>();
-  if (name == "broken-nowait")
-    return std::make_unique<NoWaitPeriodicSmmFactory>();
-  if (name == "broken-halfslack") return std::make_unique<HalfSlackSmmFactory>();
-  if (name == "broken-treeonly")
-    return std::make_unique<TreeOnlyWaitPeriodicSmmFactory>();
-  if (name.rfind("broken-toofewsteps", 0) == 0)
-    return std::make_unique<TooFewStepsSmmFactory>(parse_toofewsteps(name));
-  return nullptr;
-}
-
-std::unique_ptr<MpmAlgorithmFactory> make_mpm_factory(
-    const std::string& name) {
-  if (name == "sync") return std::make_unique<SyncMpmFactory>();
-  if (name == "periodic") return std::make_unique<PeriodicMpmFactory>();
-  if (name == "semisync") return std::make_unique<SemiSyncMpmFactory>();
-  if (name == "semisync-stepcount")
-    return std::make_unique<SemiSyncMpmFactory>(SemiSyncStrategy::kStepCount);
-  if (name == "semisync-communicate")
-    return std::make_unique<SemiSyncMpmFactory>(SemiSyncStrategy::kCommunicate);
-  if (name == "sporadic") return std::make_unique<SporadicMpmFactory>();
-  if (name == "sporadic-nocond2")
-    return std::make_unique<SporadicMpmFactory>(-1, false);
-  if (name == "async") return std::make_unique<AsyncMpmFactory>();
-  if (name == "broken-halfslack") return std::make_unique<HalfSlackMpmFactory>();
-  if (name == "broken-nowait")
-    return std::make_unique<NoWaitPeriodicMpmFactory>();
-  if (name == "broken-impatient")
-    return std::make_unique<ImpatientSporadicMpmFactory>();
-  if (name.rfind("broken-toofewsteps", 0) == 0)
-    return std::make_unique<TooFewStepsMpmFactory>(parse_toofewsteps(name));
-  return nullptr;
 }
 
 std::string resolved_algorithm(const CaseDescriptor& c) {
@@ -319,51 +254,39 @@ GeneratedRun run_case(const CaseDescriptor& c) {
   GeneratedRun out;
   out.expect_solves = true;
   const std::string alg = resolved_algorithm(c);
-  if (c.substrate == Substrate::kSharedMemory) {
-    const auto factory = make_smm_factory(alg);
-    if (!factory) {
-      out.error = "unknown smm algorithm: " + alg;
-      return out;
-    }
-    const std::int32_t total = smm_total_processes(c.spec.n, c.spec.b);
-    const auto scheduler = make_scheduler(c, total);
-    SmmRunLimits limits;
-    limits.max_steps = 100000;  // broken algorithms may never idle
-    SmmOutcome o = run_smm_once(c.spec, c.constraints, *factory, *scheduler,
-                                limits);
+  RunLimits limits;
+  limits.max_steps = 100000;  // broken algorithms may never idle
+  const auto finish = [&out](const std::string& sub, auto o) {
     if (o.run.error)
-      out.error = "smm run error: " + o.run.error->to_string();
+      out.error = sub + " run error: " + o.run.error->to_string();
     else if (o.run.hit_limit)
-      out.error = "smm run hit limit";
+      out.error = sub + " run hit limit";
     else if (!o.run.completed)
-      out.error = "smm run incomplete";
+      out.error = sub + " run incomplete";
     else
       out.ok = true;
     out.trace.emplace(std::move(o.run.trace));
     out.verdict = o.verdict;
+  };
+  if (c.substrate == Substrate::kSharedMemory) {
+    if (const auto factory = make_smm_factory(alg)) {
+      const auto scheduler =
+          make_scheduler(c, smm_total_processes(c.spec.n, c.spec.b));
+      finish("smm", run_smm_once(c.spec, c.constraints, *factory, *scheduler,
+                                 limits));
+    } else {
+      out.error = "unknown smm algorithm: " + alg;
+    }
     return out;
   }
-  const auto factory = make_mpm_factory(alg);
-  if (!factory) {
+  if (const auto factory = make_mpm_factory(alg)) {
+    const auto scheduler = make_scheduler(c, c.spec.n);
+    const auto delays = make_delays(c);
+    finish("mpm", run_mpm_once(c.spec, c.constraints, *factory, *scheduler,
+                               *delays, limits));
+  } else {
     out.error = "unknown mpm algorithm: " + alg;
-    return out;
   }
-  const auto scheduler = make_scheduler(c, c.spec.n);
-  const auto delays = make_delays(c);
-  MpmRunLimits limits;
-  limits.max_steps = 100000;
-  MpmOutcome o = run_mpm_once(c.spec, c.constraints, *factory, *scheduler,
-                              *delays, limits);
-  if (o.run.error)
-    out.error = "mpm run error: " + o.run.error->to_string();
-  else if (o.run.hit_limit)
-    out.error = "mpm run hit limit";
-  else if (!o.run.completed)
-    out.error = "mpm run incomplete";
-  else
-    out.ok = true;
-  out.trace.emplace(std::move(o.run.trace));
-  out.verdict = o.verdict;
   return out;
 }
 

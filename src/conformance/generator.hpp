@@ -22,9 +22,8 @@
 
 #include "model/ids.hpp"
 #include "model/timed_computation.hpp"
-#include "mpm/algorithm.hpp"
 #include "session/verifier.hpp"
-#include "smm/algorithm.hpp"
+#include "sim/run_spec.hpp"
 #include "timing/constraints.hpp"
 
 namespace sesp::conformance {
@@ -50,9 +49,9 @@ struct CaseDescriptor {
   ProblemSpec spec;
   TimingConstraints constraints;
   std::uint64_t seed = 0;
-  // When non-empty, overrides the pool pick with a named factory (see
-  // make_smm_factory / make_mpm_factory) — used to point the harness at the
-  // broken algorithms and by the self-test.
+  // When non-empty, overrides the pool pick with a named factory of the
+  // sim/run_spec.hpp registry — used to point the harness at the broken
+  // algorithms and by the self-test.
   std::string algorithm_override;
 
   std::string to_string() const;
@@ -69,15 +68,6 @@ std::uint64_t case_seed(std::uint64_t base, std::uint64_t cell,
 CaseDescriptor generate_case(TimingModel model, Substrate substrate,
                              std::uint64_t seed,
                              const GeneratorLimits& limits = {});
-
-// Named factory registry. Correct algorithms: "sync", "periodic",
-// "semisync", "semisync-stepcount", "semisync-communicate", "async",
-// "sporadic" (MPM), "sporadic-nocond2" (MPM). Broken algorithms:
-// "broken-nowait", "broken-halfslack", "broken-treeonly" (SMM),
-// "broken-impatient" (MPM), and "broken-toofewsteps:<K>" (both substrates).
-// Returns nullptr for unknown names or substrate mismatches.
-std::unique_ptr<SmmAlgorithmFactory> make_smm_factory(const std::string& name);
-std::unique_ptr<MpmAlgorithmFactory> make_mpm_factory(const std::string& name);
 
 // The factory name the descriptor resolves to (the override if set,
 // otherwise the pool pick for (model, substrate, algorithm)).

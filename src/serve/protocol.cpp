@@ -146,44 +146,45 @@ bool parse_request(std::string_view line, const ProtocolLimits& limits,
   else if (op == "stats") out->op = Op::kStats;
   else return fail(error, "unknown op \"" + op + "\"");
 
-  std::int64_t n = out->spec.n, b = out->spec.b;
-  if (!read_int(*doc, "s", 1, limits.max_s, &out->spec.s, error) ||
+  RunSpec& run = out->run;
+  std::int64_t n = run.spec.n, b = run.spec.b;
+  if (!read_int(*doc, "s", 1, limits.max_s, &run.spec.s, error) ||
       !read_int(*doc, "n", 1, limits.max_n, &n, error) ||
       !read_int(*doc, "b", 1, limits.max_n, &b, error))
     return false;
-  out->spec.n = static_cast<std::int32_t>(n);
-  out->spec.b = static_cast<std::int32_t>(b);
+  run.spec.n = static_cast<std::int32_t>(n);
+  run.spec.b = static_cast<std::int32_t>(b);
 
-  if (!read_ratio(*doc, "c1", &out->c1, error) ||
-      !read_ratio(*doc, "c2", &out->c2, error) ||
-      !read_ratio(*doc, "d1", &out->d1, error) ||
-      !read_ratio(*doc, "d2", &out->d2, error))
+  if (!read_ratio(*doc, "c1", &run.c1, error) ||
+      !read_ratio(*doc, "c2", &run.c2, error) ||
+      !read_ratio(*doc, "d1", &run.d1, error) ||
+      !read_ratio(*doc, "d2", &run.d2, error))
     return false;
-  if (out->c1.is_negative() || out->d1.is_negative() ||
-      !out->c2.is_positive() || !out->d2.is_positive())
+  if (run.c1.is_negative() || run.d1.is_negative() || !run.c2.is_positive() ||
+      !run.d2.is_positive())
     return fail(error, "timing constants must satisfy c1,d1 >= 0 and c2,d2 > 0");
-  if (out->c2 < out->c1 || out->d2 < out->d1)
+  if (run.c2 < run.c1 || run.d2 < run.d1)
     return fail(error, "timing constants must satisfy c1 <= c2 and d1 <= d2");
 
-  std::int64_t seed = static_cast<std::int64_t>(out->seed);
+  std::int64_t seed = static_cast<std::int64_t>(run.seed);
   if (!read_int(*doc, "seed", 0, 9'000'000'000'000'000, &seed, error))
     return false;
-  out->seed = static_cast<std::uint64_t>(seed);
+  run.seed = static_cast<std::uint64_t>(seed);
   if (!read_int(*doc, "deadline_ms", 0, limits.max_deadline_ms,
                 &out->deadline_ms, error))
     return false;
 
-  if (!read_string(*doc, "substrate", &out->substrate, error) ||
+  if (!read_string(*doc, "substrate", &run.substrate, error) ||
       !read_string(*doc, "side", &out->bound_side, error) ||
-      !read_string(*doc, "model", &out->model, error) ||
-      !read_string(*doc, "adversary", &out->adversary, error) ||
+      !read_string(*doc, "model", &run.model, error) ||
+      !read_string(*doc, "adversary", &run.adversary, error) ||
       !read_string(*doc, "ticket", &out->ticket, error) ||
       !read_string(*doc, "trace", &out->trace_text, error))
     return false;
 
-  if (!one_of(out->model,
+  if (!one_of(run.model,
               {"sync", "periodic", "semisync", "sporadic", "async"}))
-    return fail(error, "unknown model \"" + out->model + "\"");
+    return fail(error, "unknown model \"" + run.model + "\"");
 
   switch (out->op) {
     case Op::kBound:
@@ -192,14 +193,14 @@ bool parse_request(std::string_view line, const ProtocolLimits& limits,
       break;
     case Op::kRun:
     case Op::kSweep:
-      if (!one_of(out->substrate, {"mpm", "smm"}))
+      if (!one_of(run.substrate, {"mpm", "smm"}))
         return fail(error, "substrate must be mpm|smm");
       if (out->op == Op::kRun &&
-          !one_of(out->adversary, {"worst", "lockstep", "random"}))
+          !one_of(run.adversary, {"worst", "lockstep", "random"}))
         return fail(error, "adversary must be worst|lockstep|random");
       break;
     case Op::kReplay: {
-      if (!one_of(out->substrate, {"mpm", "smm"}))
+      if (!one_of(run.substrate, {"mpm", "smm"}))
         return fail(error, "substrate must be mpm|smm");
       if (out->trace_text.empty())
         return fail(error, "replay needs a \"trace\" field");
@@ -222,33 +223,34 @@ std::uint64_t request_digest(const Request& r) {
   // Canonical '|'-joined text of every result-affecting field of the op —
   // the same construction the tools' config_digest() functions use, so a
   // ticket can be recomputed from a journaled request by any layer.
+  const RunSpec& run = r.run;
   std::ostringstream os;
   os << op_name(r.op) << '|';
   switch (r.op) {
     case Op::kBound:
-      os << r.bound_side << '|' << r.model << '|' << r.spec.s << '|'
-         << r.spec.n << '|' << r.spec.b << '|' << ratio_to_text(r.c1) << '|'
-         << ratio_to_text(r.c2) << '|' << ratio_to_text(r.d1) << '|'
-         << ratio_to_text(r.d2);
+      os << r.bound_side << '|' << run.model << '|' << run.spec.s << '|'
+         << run.spec.n << '|' << run.spec.b << '|' << ratio_to_text(run.c1)
+         << '|' << ratio_to_text(run.c2) << '|' << ratio_to_text(run.d1)
+         << '|' << ratio_to_text(run.d2);
       break;
     case Op::kRun:
-      os << r.substrate << '|' << r.model << '|' << r.adversary << '|'
-         << r.spec.s << '|' << r.spec.n << '|' << r.spec.b << '|'
-         << ratio_to_text(r.c1) << '|' << ratio_to_text(r.c2) << '|'
-         << ratio_to_text(r.d1) << '|' << ratio_to_text(r.d2) << '|'
-         << r.seed;
+      os << run.substrate << '|' << run.model << '|' << run.adversary << '|'
+         << run.spec.s << '|' << run.spec.n << '|' << run.spec.b << '|'
+         << ratio_to_text(run.c1) << '|' << ratio_to_text(run.c2) << '|'
+         << ratio_to_text(run.d1) << '|' << ratio_to_text(run.d2) << '|'
+         << run.seed;
       break;
     case Op::kSweep:
-      os << r.substrate << '|' << r.model << '|' << r.spec.s << '|'
-         << r.spec.n << '|' << r.spec.b << '|' << ratio_to_text(r.c1) << '|'
-         << ratio_to_text(r.c2) << '|' << ratio_to_text(r.d1) << '|'
-         << ratio_to_text(r.d2) << '|' << r.seed;
+      os << run.substrate << '|' << run.model << '|' << run.spec.s << '|'
+         << run.spec.n << '|' << run.spec.b << '|' << ratio_to_text(run.c1)
+         << '|' << ratio_to_text(run.c2) << '|' << ratio_to_text(run.d1)
+         << '|' << ratio_to_text(run.d2) << '|' << run.seed;
       break;
     case Op::kReplay:
-      os << r.substrate << '|' << r.model << '|' << r.spec.s << '|'
-         << r.spec.n << '|' << r.spec.b << '|' << ratio_to_text(r.c1) << '|'
-         << ratio_to_text(r.c2) << '|' << ratio_to_text(r.d1) << '|'
-         << ratio_to_text(r.d2) << '|'
+      os << run.substrate << '|' << run.model << '|' << run.spec.s << '|'
+         << run.spec.n << '|' << run.spec.b << '|' << ratio_to_text(run.c1)
+         << '|' << ratio_to_text(run.c2) << '|' << ratio_to_text(run.d1)
+         << '|' << ratio_to_text(run.d2) << '|'
          << util::fnv1a_hex(util::fnv1a(r.trace_text));
       break;
     case Op::kPoll:
@@ -262,23 +264,24 @@ std::uint64_t request_digest(const Request& r) {
 }
 
 std::string render_request(const Request& r) {
+  const RunSpec& run = r.run;
   std::ostringstream os;
   obs::JsonWriter w(os);
   w.begin_object();
   w.field("id", r.id);
   w.field("op", op_name(r.op));
-  w.field("substrate", r.substrate);
+  w.field("substrate", run.substrate);
   w.field("side", r.bound_side);
-  w.field("model", r.model);
-  w.field("adversary", r.adversary);
-  w.field("s", r.spec.s);
-  w.field("n", static_cast<std::int64_t>(r.spec.n));
-  w.field("b", static_cast<std::int64_t>(r.spec.b));
-  w.field("c1", ratio_to_text(r.c1));
-  w.field("c2", ratio_to_text(r.c2));
-  w.field("d1", ratio_to_text(r.d1));
-  w.field("d2", ratio_to_text(r.d2));
-  w.field("seed", static_cast<std::int64_t>(r.seed));
+  w.field("model", run.model);
+  w.field("adversary", run.adversary);
+  w.field("s", run.spec.s);
+  w.field("n", static_cast<std::int64_t>(run.spec.n));
+  w.field("b", static_cast<std::int64_t>(run.spec.b));
+  w.field("c1", ratio_to_text(run.c1));
+  w.field("c2", ratio_to_text(run.c2));
+  w.field("d1", ratio_to_text(run.d1));
+  w.field("d2", ratio_to_text(run.d2));
+  w.field("seed", static_cast<std::int64_t>(run.seed));
   if (r.deadline_ms > 0) w.field("deadline_ms", r.deadline_ms);
   if (!r.ticket.empty()) w.field("ticket", r.ticket);
   if (!r.trace_text.empty()) w.field("trace", r.trace_text);

@@ -29,8 +29,7 @@
 #include <string>
 #include <string_view>
 
-#include "model/ids.hpp"
-#include "util/ratio.hpp"
+#include "sim/run_spec.hpp"
 
 namespace sesp::serve {
 
@@ -70,14 +69,11 @@ struct Request {
   std::int64_t id = 0;
   Op op = Op::kHealth;
 
-  std::string substrate = "mpm";   // run/sweep/replay: mpm | smm
-  std::string bound_side = "mp";   // bound: sm | mp
-  std::string model = "semisync";  // sync|periodic|semisync|sporadic|async
-  std::string adversary = "worst";  // run: worst | lockstep | random
-  ProblemSpec spec{3, 3, 2};
-  Ratio c1 = 1, c2 = 2, d1 = 0, d2 = 4;
-  std::uint64_t seed = 1992;
-  std::int64_t deadline_ms = 0;  // 0 = server default
+  // The run, as sesp_cli builds it (run/sweep/replay: substrate mpm | smm;
+  // the adversary matters to run only; bound reads model, spec and c/d).
+  RunSpec run;
+  std::string bound_side = "mp";  // bound: sm | mp
+  std::int64_t deadline_ms = 0;   // 0 = server default
 
   std::string ticket;      // poll: sweep ticket (16 hex digits)
   std::string trace_text;  // replay: sesp-trace text

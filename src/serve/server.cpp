@@ -14,25 +14,15 @@
 #include <cstring>
 #include <filesystem>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
-#include "adversary/delay_strategies.hpp"
-#include "adversary/step_schedulers.hpp"
-#include "algorithms/mpm/async_alg.hpp"
-#include "algorithms/mpm/periodic_alg.hpp"
-#include "algorithms/mpm/semisync_alg.hpp"
-#include "algorithms/mpm/sporadic_alg.hpp"
-#include "algorithms/mpm/sync_alg.hpp"
-#include "algorithms/smm/async_alg.hpp"
-#include "algorithms/smm/periodic_alg.hpp"
 #include "algorithms/smm/semisync_alg.hpp"
-#include "algorithms/smm/sync_alg.hpp"
 #include "analysis/bounds.hpp"
 #include "model/trace_io.hpp"
 #include "obs/json.hpp"
 #include "recovery/supervisor.hpp"
-#include "sim/experiment.hpp"
-#include "sim/replay.hpp"
+#include "sim/run_spec.hpp"
 #include "smm/smm_simulator.hpp"
 
 namespace sesp::serve {
@@ -47,43 +37,26 @@ std::string errno_text(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
 
-// Timing constraints exactly as sesp_cli builds them — the sweep report's
-// byte-identity with the offline tool depends on this mirroring.
-TimingConstraints request_constraints(const Request& r,
-                                      std::int32_t total_processes) {
-  if (r.model == "sync") return TimingConstraints::synchronous(r.c2, r.d2);
-  if (r.model == "periodic") {
-    std::vector<Duration> periods;
-    for (std::int32_t i = 0; i < total_processes; ++i) {
-      const Ratio frac = total_processes > 1
-                             ? Ratio(i, std::max(total_processes - 1, 1))
-                             : Ratio(0);
-      periods.push_back(r.c1 + (r.c2 - r.c1) * frac);
-    }
-    return TimingConstraints::periodic(periods, r.d2);
-  }
-  if (r.model == "semisync")
-    return TimingConstraints::semi_synchronous(r.c1, r.c2, r.d2);
-  if (r.model == "sporadic")
-    return TimingConstraints::sporadic(r.c1, r.d1, r.d2);
-  return TimingConstraints::asynchronous(r.c2, r.d2);
+// parse_request admits only run specs RunPlan resolves (a known model on
+// mpm or smm), so this throws only on a Request built around the parser.
+RunPlan resolve_plan(const RunSpec& r) {
+  auto plan = RunPlan::resolve(r);
+  if (!plan) throw std::invalid_argument("unresolvable run spec");
+  return std::move(*plan);
 }
 
-std::unique_ptr<MpmAlgorithmFactory> make_mpm_factory(const std::string& m) {
-  if (m == "sync") return std::make_unique<SyncMpmFactory>();
-  if (m == "periodic") return std::make_unique<PeriodicMpmFactory>();
-  if (m == "semisync") return std::make_unique<SemiSyncMpmFactory>();
-  if (m == "sporadic") return std::make_unique<SporadicMpmFactory>();
-  return std::make_unique<AsyncMpmFactory>();
-}
-
-// No sporadic SMM algorithm exists (Table 1's sporadic row is MP-only);
-// sesp_cli falls back to the async algorithm there, and so do we.
-std::unique_ptr<SmmAlgorithmFactory> make_smm_factory(const std::string& m) {
-  if (m == "sync") return std::make_unique<SyncSmmFactory>();
-  if (m == "periodic") return std::make_unique<PeriodicSmmFactory>();
-  if (m == "semisync") return std::make_unique<SemiSyncSmmFactory>();
-  return std::make_unique<AsyncSmmFactory>();
+// The leading fields of every run reply (single run and worst case).
+void write_run_fields(obs::JsonWriter& w, const RunSpec& run,
+                      const char* algorithm) {
+  w.field("op", "run");
+  w.field("substrate", run.substrate);
+  w.field("model", run.model);
+  w.field("adversary", run.adversary);
+  w.field("algorithm", algorithm);
+  w.field("s", run.spec.s);
+  w.field("n", static_cast<std::int64_t>(run.spec.n));
+  w.field("b", static_cast<std::int64_t>(run.spec.b));
+  w.field("seed", static_cast<std::int64_t>(run.seed));
 }
 
 const char* ticket_state_name(std::uint8_t state) {
@@ -446,8 +419,8 @@ std::string Server::dispatch(const Request& r, obs::Profiler* profiler) {
   switch (r.op) {
     case Op::kBound: return handle_bound(r);
     case Op::kRun:
-      return r.adversary == "worst" ? submit_exclusive_run(r)
-                                    : submit_heavy(r);
+      return r.run.adversary == "worst" ? submit_exclusive_run(r)
+                                        : submit_heavy(r);
     case Op::kReplay: return submit_heavy(r);
     case Op::kSweep: return submit_sweep(r);
     default: break;
@@ -474,48 +447,49 @@ std::string Server::handle_bound(const Request& r) {
     ++counters_.ok;
     return ok_reply(r.id, cached);
   }
-  if (r.model == "sporadic" && r.bound_side == "sm") {
+  const RunSpec& run = r.run;
+  if (run.model == "sporadic" && r.bound_side == "sm") {
     ++counters_.bad_request;
     return error_reply(r.id, Status::kBadRequest,
                        "sporadic bounds are MP-only (Table 1, row 4)");
   }
 
   const bool sm = r.bound_side == "sm";
-  const std::int64_t tree = smm_tree_latency_steps(r.spec.n, r.spec.b);
+  const std::int64_t tree = smm_tree_latency_steps(run.spec.n, run.spec.b);
   bool in_rounds = false;
   Time lower = 0, upper = 0;
   std::int64_t lower_rounds = 0, upper_rounds = 0;
   std::optional<Ratio> gamma;
-  if (r.model == "sync") {
-    lower = upper = bounds::sync_tight(r.spec, r.c2);
-  } else if (r.model == "periodic") {
+  if (run.model == "sync") {
+    lower = upper = bounds::sync_tight(run.spec, run.c2);
+  } else if (run.model == "periodic") {
     if (sm) {
-      lower = bounds::periodic_sm_lower(r.spec, r.c2, r.c1);
-      upper = bounds::periodic_sm_upper(r.spec, r.c2, tree);
+      lower = bounds::periodic_sm_lower(run.spec, run.c2, run.c1);
+      upper = bounds::periodic_sm_upper(run.spec, run.c2, tree);
     } else {
-      lower = bounds::periodic_mp_lower(r.spec, r.c2, r.d2);
-      upper = bounds::periodic_mp_upper(r.spec, r.c2, r.d2);
+      lower = bounds::periodic_mp_lower(run.spec, run.c2, run.d2);
+      upper = bounds::periodic_mp_upper(run.spec, run.c2, run.d2);
     }
-  } else if (r.model == "semisync") {
+  } else if (run.model == "semisync") {
     if (sm) {
-      lower = bounds::semisync_sm_lower(r.spec, r.c1, r.c2);
-      upper = bounds::semisync_sm_upper(r.spec, r.c1, r.c2, tree);
+      lower = bounds::semisync_sm_lower(run.spec, run.c1, run.c2);
+      upper = bounds::semisync_sm_upper(run.spec, run.c1, run.c2, tree);
     } else {
-      lower = bounds::semisync_mp_lower(r.spec, r.c1, r.c2, r.d2);
-      upper = bounds::semisync_mp_upper(r.spec, r.c1, r.c2, r.d2);
+      lower = bounds::semisync_mp_lower(run.spec, run.c1, run.c2, run.d2);
+      upper = bounds::semisync_mp_upper(run.spec, run.c1, run.c2, run.d2);
     }
-  } else if (r.model == "sporadic") {
-    gamma = bounds::sporadic_K(r.c1, r.d1, r.d2);
-    lower = bounds::sporadic_mp_lower(r.spec, r.c1, r.d1, r.d2);
-    upper = bounds::sporadic_mp_upper(r.spec, r.c1, r.d1, r.d2, *gamma);
+  } else if (run.model == "sporadic") {
+    gamma = bounds::sporadic_K(run.c1, run.d1, run.d2);
+    lower = bounds::sporadic_mp_lower(run.spec, run.c1, run.d1, run.d2);
+    upper = bounds::sporadic_mp_upper(run.spec, run.c1, run.d1, run.d2, *gamma);
   } else {  // async
     if (sm) {
       in_rounds = true;
-      lower_rounds = bounds::async_sm_lower_rounds(r.spec);
-      upper_rounds = bounds::async_sm_upper_rounds(r.spec, tree);
+      lower_rounds = bounds::async_sm_lower_rounds(run.spec);
+      upper_rounds = bounds::async_sm_upper_rounds(run.spec, tree);
     } else {
-      lower = bounds::async_mp_lower(r.spec, r.d2);
-      upper = bounds::async_mp_upper(r.spec, r.c2, r.d2);
+      lower = bounds::async_mp_lower(run.spec, run.d2);
+      upper = bounds::async_mp_upper(run.spec, run.c2, run.d2);
     }
   }
 
@@ -523,15 +497,15 @@ std::string Server::handle_bound(const Request& r) {
   obs::JsonWriter w(os);
   w.begin_object();
   w.field("op", "bound");
-  w.field("model", r.model);
+  w.field("model", run.model);
   w.field("side", r.bound_side);
-  w.field("s", r.spec.s);
-  w.field("n", static_cast<std::int64_t>(r.spec.n));
-  w.field("b", static_cast<std::int64_t>(r.spec.b));
-  w.field("c1", r.c1);
-  w.field("c2", r.c2);
-  w.field("d1", r.d1);
-  w.field("d2", r.d2);
+  w.field("s", run.spec.s);
+  w.field("n", static_cast<std::int64_t>(run.spec.n));
+  w.field("b", static_cast<std::int64_t>(run.spec.b));
+  w.field("c1", run.c1);
+  w.field("c2", run.c2);
+  w.field("d1", run.d1);
+  w.field("d2", run.d2);
   w.field("measure", in_rounds ? "rounds" : "time");
   if (in_rounds) {
     w.field("lower", lower_rounds);
@@ -819,62 +793,12 @@ Server::JobResult Server::compute_run(const Request& r) {
   obs::ObservationShard shard(&observer_);
   try {
     obs::ProfileScope scope(&local, obs::ProfilePhase::kServeExec);
-    std::string algorithm;
-    Verdict verdict;
-    if (r.substrate == "mpm") {
-      const auto constraints = request_constraints(r, r.spec.n);
-      const auto factory = make_mpm_factory(r.model);
-      algorithm = factory->name();
-      std::unique_ptr<StepScheduler> sched;
-      std::unique_ptr<DelayStrategy> delay;
-      if (r.model == "periodic") {
-        sched = std::make_unique<FixedPeriodScheduler>(constraints.periods);
-        delay = std::make_unique<FixedDelay>(r.d2);
-      } else if (r.adversary == "lockstep") {
-        sched = std::make_unique<FixedPeriodScheduler>(
-            r.spec.n, r.model == "sporadic" ? r.c1 : r.c2);
-        delay = std::make_unique<FixedDelay>(r.d2);
-      } else {
-        const Duration lo = r.c1.is_positive() ? r.c1 : r.c2 / 8;
-        sched = std::make_unique<UniformGapScheduler>(
-            lo, r.model == "sporadic" ? r.c1 * 8 : r.c2, r.seed);
-        delay = std::make_unique<UniformRandomDelay>(r.d1, r.d2, r.seed + 1);
-      }
-      const MpmOutcome out =
-          run_mpm_once(r.spec, constraints, *factory, *sched, *delay,
-                       MpmRunLimits{}, nullptr, shard.observer());
-      verdict = out.verdict;
-    } else {
-      const std::int32_t total = smm_total_processes(r.spec.n, r.spec.b);
-      const auto constraints = request_constraints(r, total);
-      const auto factory = make_smm_factory(r.model);
-      algorithm = factory->name();
-      std::unique_ptr<StepScheduler> sched;
-      if (r.model == "periodic") {
-        sched = std::make_unique<FixedPeriodScheduler>(constraints.periods);
-      } else if (r.adversary == "lockstep") {
-        sched = std::make_unique<FixedPeriodScheduler>(total, r.c2);
-      } else {
-        const Duration lo = r.c1.is_positive() ? r.c1 : r.c2 / 8;
-        sched = std::make_unique<UniformGapScheduler>(lo, r.c2, r.seed);
-      }
-      const SmmOutcome out =
-          run_smm_once(r.spec, constraints, *factory, *sched, SmmRunLimits{},
-                       nullptr, shard.observer());
-      verdict = out.verdict;
-    }
+    const RunPlan plan = resolve_plan(r.run);
+    const Verdict verdict = plan.run(nullptr, shard.observer()).verdict;
     std::ostringstream os;
     obs::JsonWriter w(os);
     w.begin_object();
-    w.field("op", "run");
-    w.field("substrate", r.substrate);
-    w.field("model", r.model);
-    w.field("adversary", r.adversary);
-    w.field("algorithm", algorithm);
-    w.field("s", r.spec.s);
-    w.field("n", static_cast<std::int64_t>(r.spec.n));
-    w.field("b", static_cast<std::int64_t>(r.spec.b));
-    w.field("seed", static_cast<std::int64_t>(r.seed));
+    write_run_fields(w, r.run, plan.algorithm());
     w.field("sessions", verdict.sessions);
     w.field("admissible", verdict.admissible);
     w.field("solves", verdict.solves);
@@ -906,23 +830,13 @@ Server::JobResult Server::compute_replay(const Request& r) {
     if (!trace) {
       res = JobResult{Status::kBadRequest, "bad trace: " + err};
     } else {
-      ReplayReport report;
-      if (r.substrate == "mpm") {
-        const auto constraints = request_constraints(r, r.spec.n);
-        const auto factory = make_mpm_factory(r.model);
-        report = replay_mpm(*trace, r.spec, constraints, *factory);
-      } else {
-        const std::int32_t total = smm_total_processes(r.spec.n, r.spec.b);
-        const auto constraints = request_constraints(r, total);
-        const auto factory = make_smm_factory(r.model);
-        report = replay_smm(*trace, r.spec, constraints, *factory);
-      }
+      const ReplayReport report = resolve_plan(r.run).replay(*trace);
       std::ostringstream os;
       obs::JsonWriter w(os);
       w.begin_object();
       w.field("op", "replay");
-      w.field("substrate", r.substrate);
-      w.field("model", r.model);
+      w.field("substrate", r.run.substrate);
+      w.field("model", r.run.model);
       w.field("match", report.match);
       w.field("divergence", static_cast<std::int64_t>(report.divergence));
       if (!report.detail.empty()) w.field("detail", report.detail);
@@ -945,32 +859,12 @@ Server::JobResult Server::compute_worst_case(const Request& r) {
   JobResult res;
   try {
     obs::ProfileScope scope(&local, obs::ProfilePhase::kServeExec);
-    std::string algorithm;
-    WorstCase wc;
-    if (r.substrate == "mpm") {
-      const auto constraints = request_constraints(r, r.spec.n);
-      const auto factory = make_mpm_factory(r.model);
-      algorithm = factory->name();
-      wc = mpm_worst_case(r.spec, constraints, *factory, 4, r.seed);
-    } else {
-      const std::int32_t total = smm_total_processes(r.spec.n, r.spec.b);
-      const auto constraints = request_constraints(r, total);
-      const auto factory = make_smm_factory(r.model);
-      algorithm = factory->name();
-      wc = smm_worst_case(r.spec, constraints, *factory, 4, r.seed);
-    }
+    const RunPlan plan = resolve_plan(r.run);
+    const WorstCase wc = plan.worst_case();
     std::ostringstream os;
     obs::JsonWriter w(os);
     w.begin_object();
-    w.field("op", "run");
-    w.field("substrate", r.substrate);
-    w.field("model", r.model);
-    w.field("adversary", "worst");
-    w.field("algorithm", algorithm);
-    w.field("s", r.spec.s);
-    w.field("n", static_cast<std::int64_t>(r.spec.n));
-    w.field("b", static_cast<std::int64_t>(r.spec.b));
-    w.field("seed", static_cast<std::int64_t>(r.seed));
+    write_run_fields(w, r.run, plan.algorithm());
     w.field("runs", static_cast<std::int64_t>(wc.runs));
     w.field("all_solved", wc.all_solved);
     w.field("min_sessions", wc.min_sessions);
@@ -1015,6 +909,7 @@ void Server::execute_sweep(const Request& r, std::uint64_t digest) {
     }
   }
 
+  const RunPlan plan = resolve_plan(r.run);
   obs::Profiler local;
   recovery::Supervisor sup(std::move(journal));
   bool chaos_here = false;
@@ -1032,30 +927,10 @@ void Server::execute_sweep(const Request& r, std::uint64_t digest) {
   // sweep it cannot stop.
   if (draining_.load()) sup.request_stop();
 
-  std::string algorithm;
   DegradationReport report;
   {
     obs::ProfileScope scope(&local, obs::ProfilePhase::kServeExec);
-    const std::vector<std::int32_t> crashes{0, 1, 2};
-    const std::vector<std::int32_t> percents{0, 5, 20};
-    if (r.substrate == "mpm") {
-      const auto constraints = request_constraints(r, r.spec.n);
-      const auto factory = make_mpm_factory(r.model);
-      algorithm = factory->name();
-      MpmRunLimits limits;
-      limits.max_steps = 150'000;  // same cutover as sesp_cli --degradation
-      report = mpm_degradation(r.spec, constraints, *factory, crashes,
-                               percents, r.seed, limits);
-    } else {
-      const std::int32_t total = smm_total_processes(r.spec.n, r.spec.b);
-      const auto constraints = request_constraints(r, total);
-      const auto factory = make_smm_factory(r.model);
-      algorithm = factory->name();
-      SmmRunLimits limits;
-      limits.max_steps = 150'000;
-      report = smm_degradation(r.spec, constraints, *factory, crashes,
-                               percents, r.seed, limits);
-    }
+    report = plan.degradation();
   }
   recovery::Supervisor::install(prev);
   {
@@ -1083,7 +958,7 @@ void Server::execute_sweep(const Request& r, std::uint64_t digest) {
   // Report text identical (from the algorithm line on) to
   //   sesp_cli --degradation --substrate=... --model=... --seed=...
   std::ostringstream text;
-  text << "algorithm:   " << algorithm << "\n"
+  text << "algorithm:   " << plan.algorithm() << "\n"
        << report.to_string() << "solved/degraded/diagnosed: "
        << report.count(RunOutcome::kSolved) << "/"
        << report.count(RunOutcome::kDegraded) << "/"
@@ -1094,9 +969,9 @@ void Server::execute_sweep(const Request& r, std::uint64_t digest) {
   w.field("ticket", util::fnv1a_hex(digest));
   w.field("state", "done");
   w.field("op", "sweep");
-  w.field("substrate", r.substrate);
-  w.field("model", r.model);
-  w.field("algorithm", algorithm);
+  w.field("substrate", r.run.substrate);
+  w.field("model", r.run.model);
+  w.field("algorithm", plan.algorithm());
   w.field("solved",
           static_cast<std::int64_t>(report.count(RunOutcome::kSolved)));
   w.field("degraded",

@@ -3,6 +3,7 @@
 #include <deque>
 #include <memory>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "adversary/delay_strategies.hpp"
@@ -16,13 +17,76 @@ namespace sesp {
 
 namespace {
 
-// One observation shard per sweep task, merged in task order after the
-// barrier — the deque pins the shards (Observer points into them).
-std::deque<obs::ObservationShard> make_shards(obs::Observer* parent,
-                                              std::size_t count) {
+// The scaffolding every sweep shares: task i runs under its own shard of the
+// default observer (the deque pins them), the kExecTask profile scope and a
+// `span_name` span (args rendered only when tracing), through
+// recovery::supervised_sweep under journal stage `stage`. Shards are merged
+// and decoded payloads folded by `apply` in task order, so the result is
+// the same for every job count and interrupt/resume history.
+template <typename SpanArgs, typename Task, typename Apply>
+void run_sweep(const std::string& stage, const std::string& span_name,
+               const char* category, std::size_t count,
+               const SpanArgs& span_args, const Task& task,
+               const Apply& apply) {
+  obs::Observer* const parent = obs::default_observer();
   std::deque<obs::ObservationShard> shards;
   for (std::size_t i = 0; i < count; ++i) shards.emplace_back(parent);
-  return shards;
+  recovery::supervised_sweep(
+      stage, count,
+      [&](std::size_t i) {
+        obs::Observer* const o = shards[i].observer();
+        obs::ProfileScope exec_scope(o ? o->profiler : nullptr,
+                                     obs::ProfilePhase::kExecTask);
+        obs::Span span(o ? o->trace : nullptr, span_name, category,
+                       o && o->trace ? span_args(i) : std::string());
+        return task(i, o);
+      },
+      [&](std::size_t i, const std::string& payload) {
+        shards[i].merge_into_parent();
+        apply(i, payload);
+      });
+}
+
+// The substrate parameters of the sweep families: name (journal stage and
+// span prefix), scheduled processes (n, or smm_total_processes), whether it
+// passes messages (the degradation knob is then message drop, else write
+// corruption), and its run_*_once as run(scheduler, delays, faults,
+// observer); the SMM has no delay strategy and ignores `delays`. The run
+// refers to the entry point's arguments, which outlive the sweep.
+template <typename Run>
+struct SweepSubstrate {
+  std::string name;
+  std::int32_t processes;
+  bool message_passing;
+  Run run;
+};
+
+auto mpm_substrate(const ProblemSpec& spec,
+                   const TimingConstraints& constraints,
+                   const MpmAlgorithmFactory& factory,
+                   const MpmRunLimits& limits) {
+  return SweepSubstrate{
+      "mpm", spec.n, true,
+      [&spec, &constraints, &factory, &limits](
+          StepScheduler& sched, DelayStrategy* delays, FaultInjector* faults,
+          obs::Observer* o) {
+        return run_mpm_once(spec, constraints, factory, sched, *delays, limits,
+                            faults, o);
+      }};
+}
+
+auto smm_substrate(const ProblemSpec& spec,
+                   const TimingConstraints& constraints,
+                   const SmmAlgorithmFactory& factory,
+                   const SmmRunLimits& limits) {
+  return SweepSubstrate{
+      "smm", smm_total_processes(spec.n, spec.b), false,
+      [&spec, &constraints, &factory, &limits](
+          StepScheduler& sched, DelayStrategy*, FaultInjector* faults,
+          obs::Observer* o) {
+        return run_smm_once(spec, constraints, factory, sched, limits, faults,
+                            o);
+      }};
 }
 
 // Everything the worst-case aggregate consumes from one run, flattened to
@@ -137,59 +201,20 @@ void fold(WorstCase& wc, const WorstSlot& s) {
   if (s.gamma && wc.max_gamma < *s.gamma) wc.max_gamma = *s.gamma;
 }
 
-}  // namespace
+// Each adversary owns its schedulers (and their RNG streams), so the runs of
+// a family are independent.
+struct Adversary {
+  std::string label;
+  std::unique_ptr<StepScheduler> sched;
+  std::unique_ptr<DelayStrategy> delay;  // null on the SMM
+};
 
-MpmOutcome run_mpm_once(const ProblemSpec& spec,
-                        const TimingConstraints& constraints,
-                        const MpmAlgorithmFactory& factory,
-                        StepScheduler& scheduler, DelayStrategy& delays,
-                        const MpmRunLimits& limits, FaultInjector* faults,
-                        obs::Observer* observer) {
-  MpmSimulator sim(spec, constraints, factory, scheduler, delays, faults,
-                   observer);
-  MpmOutcome out{sim.run(limits), Verdict{}};
-  out.verdict = verify(out.run.trace, spec, constraints, observer);
-  return out;
-}
-
-SmmOutcome run_smm_once(const ProblemSpec& spec,
-                        const TimingConstraints& constraints,
-                        const SmmAlgorithmFactory& factory,
-                        StepScheduler& scheduler, const SmmRunLimits& limits,
-                        FaultInjector* faults, obs::Observer* observer) {
-  SmmSimulator sim(spec, constraints, factory, scheduler, faults, observer);
-  SmmOutcome out{sim.run(limits), Verdict{}};
-  out.verdict = verify(out.run.trace, spec, constraints, observer);
-  return out;
-}
-
-P2pOutcome run_p2p_once(const ProblemSpec& spec,
-                        const TimingConstraints& constraints,
-                        const Topology& topology,
-                        const P2pAlgorithmFactory& factory,
-                        StepScheduler& scheduler, DelayStrategy& delays,
-                        const P2pRunLimits& limits, FaultInjector* faults,
-                        obs::Observer* observer) {
-  P2pSimulator sim(spec, constraints, topology, factory, scheduler, delays,
-                   faults, observer);
-  P2pOutcome out{sim.run(limits), Verdict{}};
-  out.verdict = verify(out.run.trace, spec, constraints, observer);
-  return out;
-}
-
-WorstCase mpm_worst_case(const ProblemSpec& spec,
-                         const TimingConstraints& constraints,
-                         const MpmAlgorithmFactory& factory,
-                         std::int32_t random_runs, std::uint64_t seed,
-                         const MpmRunLimits& limits) {
-  WorstCase wc;
-  const std::int32_t n = spec.n;
-
-  struct Adversary {
-    std::string label;
-    std::unique_ptr<StepScheduler> sched;
-    std::unique_ptr<DelayStrategy> delay;
-  };
+// The MPM and SMM families are the paper's schedule families per model:
+// the deterministic worst cases (slowest periods, maximal delays, slow-one /
+// straggler skews) plus `random_runs` seeded random admissible schedules.
+std::vector<Adversary> mpm_family(const TimingConstraints& constraints,
+                                  std::int32_t n, std::int32_t random_runs,
+                                  std::uint64_t seed) {
   std::vector<Adversary> family;
   auto add = [&family](std::string label, std::unique_ptr<StepScheduler> s,
                        std::unique_ptr<DelayStrategy> d) {
@@ -274,53 +299,16 @@ WorstCase mpm_worst_case(const ProblemSpec& spec,
                                                  seed + 7 * r + 10));
       break;
   }
-
-  // Each adversary owns its schedulers (and their RNG streams), so runs are
-  // independent; results land in per-adversary slots and are folded in
-  // family order, making the aggregate identical for every job count and —
-  // via the WorstSlot payload round trip — for every interrupt/resume
-  // history when a recovery::Supervisor is installed.
-  obs::Observer* const parent = obs::default_observer();
-  std::deque<obs::ObservationShard> shards =
-      make_shards(parent, family.size());
-  recovery::supervised_sweep(
-      "mpm_worst_case", family.size(),
-      [&](std::size_t i) {
-        Adversary& adv = family[i];
-        obs::Observer* const o = shards[i].observer();
-        obs::ProfileScope exec_scope(o ? o->profiler : nullptr,
-                                     obs::ProfilePhase::kExecTask);
-        obs::Span span(
-            o ? o->trace : nullptr, "adversary.mpm_worst_case", "adversary",
-            o && o->trace
-                ? obs::args_object({obs::arg_str("label", adv.label)})
-                : std::string());
-        return encode_worst_slot(make_worst_slot(
-            adv.label, run_mpm_once(spec, constraints, factory, *adv.sched,
-                                    *adv.delay, limits, nullptr, o)));
-      },
-      [&](std::size_t i, const std::string& payload) {
-        shards[i].merge_into_parent();
-        fold(wc, decode_worst_slot(payload, family[i].label));
-      });
-  return wc;
+  return family;
 }
 
-WorstCase smm_worst_case(const ProblemSpec& spec,
-                         const TimingConstraints& constraints,
-                         const SmmAlgorithmFactory& factory,
-                         std::int32_t random_runs, std::uint64_t seed,
-                         const SmmRunLimits& limits) {
-  WorstCase wc;
-  const std::int32_t total = smm_total_processes(spec.n, spec.b);
-
-  struct Adversary {
-    std::string label;
-    std::unique_ptr<StepScheduler> sched;
-  };
+std::vector<Adversary> smm_family(const TimingConstraints& constraints,
+                                  std::int32_t total,
+                                  std::int32_t random_runs,
+                                  std::uint64_t seed) {
   std::vector<Adversary> family;
   auto add = [&family](std::string label, std::unique_ptr<StepScheduler> s) {
-    family.push_back(Adversary{std::move(label), std::move(s)});
+    family.push_back(Adversary{std::move(label), std::move(s), nullptr});
   };
 
   switch (constraints.model) {
@@ -359,31 +347,88 @@ WorstCase smm_worst_case(const ProblemSpec& spec,
       break;
     }
   }
+  return family;
+}
 
-  obs::Observer* const parent = obs::default_observer();
-  std::deque<obs::ObservationShard> shards =
-      make_shards(parent, family.size());
-  recovery::supervised_sweep(
-      "smm_worst_case", family.size(),
+// Results land in per-adversary slots and are folded in family order.
+template <typename Run>
+WorstCase worst_case(const SweepSubstrate<Run>& sub,
+                     std::vector<Adversary> family) {
+  WorstCase wc;
+  run_sweep(
+      sub.name + "_worst_case", "adversary." + sub.name + "_worst_case",
+      "adversary", family.size(),
       [&](std::size_t i) {
+        return obs::args_object({obs::arg_str("label", family[i].label)});
+      },
+      [&](std::size_t i, obs::Observer* o) {
         Adversary& adv = family[i];
-        obs::Observer* const o = shards[i].observer();
-        obs::ProfileScope exec_scope(o ? o->profiler : nullptr,
-                                     obs::ProfilePhase::kExecTask);
-        obs::Span span(
-            o ? o->trace : nullptr, "adversary.smm_worst_case", "adversary",
-            o && o->trace
-                ? obs::args_object({obs::arg_str("label", adv.label)})
-                : std::string());
         return encode_worst_slot(make_worst_slot(
-            adv.label, run_smm_once(spec, constraints, factory, *adv.sched,
-                                    limits, nullptr, o)));
+            adv.label, sub.run(*adv.sched, adv.delay.get(), nullptr, o)));
       },
       [&](std::size_t i, const std::string& payload) {
-        shards[i].merge_into_parent();
         fold(wc, decode_worst_slot(payload, family[i].label));
       });
   return wc;
+}
+
+}  // namespace
+
+MpmOutcome run_mpm_once(const ProblemSpec& spec,
+                        const TimingConstraints& constraints,
+                        const MpmAlgorithmFactory& factory,
+                        StepScheduler& scheduler, DelayStrategy& delays,
+                        const MpmRunLimits& limits, FaultInjector* faults,
+                        obs::Observer* observer) {
+  MpmSimulator sim(spec, constraints, factory, scheduler, delays, faults,
+                   observer);
+  MpmOutcome out{sim.run(limits), Verdict{}};
+  out.verdict = verify(out.run.trace, spec, constraints, observer);
+  return out;
+}
+
+SmmOutcome run_smm_once(const ProblemSpec& spec,
+                        const TimingConstraints& constraints,
+                        const SmmAlgorithmFactory& factory,
+                        StepScheduler& scheduler, const SmmRunLimits& limits,
+                        FaultInjector* faults, obs::Observer* observer) {
+  SmmSimulator sim(spec, constraints, factory, scheduler, faults, observer);
+  SmmOutcome out{sim.run(limits), Verdict{}};
+  out.verdict = verify(out.run.trace, spec, constraints, observer);
+  return out;
+}
+
+P2pOutcome run_p2p_once(const ProblemSpec& spec,
+                        const TimingConstraints& constraints,
+                        const Topology& topology,
+                        const P2pAlgorithmFactory& factory,
+                        StepScheduler& scheduler, DelayStrategy& delays,
+                        const P2pRunLimits& limits, FaultInjector* faults,
+                        obs::Observer* observer) {
+  P2pSimulator sim(spec, constraints, topology, factory, scheduler, delays,
+                   faults, observer);
+  P2pOutcome out{sim.run(limits), Verdict{}};
+  out.verdict = verify(out.run.trace, spec, constraints, observer);
+  return out;
+}
+
+WorstCase mpm_worst_case(const ProblemSpec& spec,
+                         const TimingConstraints& constraints,
+                         const MpmAlgorithmFactory& factory,
+                         std::int32_t random_runs, std::uint64_t seed,
+                         const MpmRunLimits& limits) {
+  return worst_case(mpm_substrate(spec, constraints, factory, limits),
+                    mpm_family(constraints, spec.n, random_runs, seed));
+}
+
+WorstCase smm_worst_case(const ProblemSpec& spec,
+                         const TimingConstraints& constraints,
+                         const SmmAlgorithmFactory& factory,
+                         std::int32_t random_runs, std::uint64_t seed,
+                         const SmmRunLimits& limits) {
+  const auto sub = smm_substrate(spec, constraints, factory, limits);
+  return worst_case(sub,
+                    smm_family(constraints, sub.processes, random_runs, seed));
 }
 
 // --- Degradation sweeps -----------------------------------------------------
@@ -413,16 +458,16 @@ std::unique_ptr<StepScheduler> canonical_scheduler(
   return std::make_unique<FixedPeriodScheduler>(num_processes, Duration(1));
 }
 
-FaultPlan grid_plan(std::int32_t crashes, std::int32_t percent, bool smm,
-                    std::int32_t n, std::uint64_t seed) {
+FaultPlan grid_plan(std::int32_t crashes, std::int32_t percent,
+                    bool message_passing, std::int32_t n, std::uint64_t seed) {
   FaultPlan plan;
   plan.seed = seed;
   for (std::int32_t i = 0; i < crashes && i < n; ++i)
     plan.crashes.push_back(CrashFault{i, 1 + i});
-  if (smm)
-    plan.writes.corrupt_percent = static_cast<std::uint32_t>(percent);
-  else
+  if (message_passing)
     plan.messages.drop_percent = static_cast<std::uint32_t>(percent);
+  else
+    plan.writes.corrupt_percent = static_cast<std::uint32_t>(percent);
   return plan;
 }
 
@@ -479,6 +524,52 @@ DegradationCell decode_degradation_cell(const std::string& payload,
   return cell;
 }
 
+// Grid cells are fully independent (per-cell injector and scheduler, both
+// seeded by the cell's own (k, p)); the cell list fixes the order.
+template <typename Run>
+DegradationReport degradation(const SweepSubstrate<Run>& sub,
+                              const char* algorithm, const ProblemSpec& spec,
+                              const TimingConstraints& constraints,
+                              const std::vector<std::int32_t>& crash_counts,
+                              const std::vector<std::int32_t>& percents,
+                              std::uint64_t seed) {
+  DegradationReport report;
+  report.algorithm = algorithm;
+  report.substrate = sub.name;
+  std::vector<std::pair<std::int32_t, std::int32_t>> grid;
+  for (const std::int32_t k : crash_counts)
+    for (const std::int32_t p : percents) grid.emplace_back(k, p);
+  report.cells.resize(grid.size());
+  run_sweep(
+      sub.name + "_degradation", "degradation." + sub.name + "_cell", "sim",
+      grid.size(),
+      [&](std::size_t i) {
+        return obs::args_object({obs::arg_int("crashes", grid[i].first),
+                                 obs::arg_int("percent", grid[i].second)});
+      },
+      [&](std::size_t i, obs::Observer* o) {
+        const auto [k, p] = grid[i];
+        FaultInjector injector(grid_plan(
+            k, p, sub.message_passing, spec.n,
+            seed + 131 * static_cast<std::uint64_t>(k) +
+                static_cast<std::uint64_t>(p)));
+        auto sched = canonical_scheduler(constraints, sub.processes);
+        FixedDelay delay(constraints.d2);
+        const auto out = sub.run(*sched, &delay, &injector, o);
+        DegradationCell cell;
+        cell.crashes = k;
+        cell.fault_percent = p;
+        fill_cell(cell, out.verdict, out.run.error, out.run.completed,
+                  injector, spec);
+        return encode_degradation_cell(cell);
+      },
+      [&](std::size_t i, const std::string& payload) {
+        report.cells[i] =
+            decode_degradation_cell(payload, grid[i].first, grid[i].second);
+      });
+  return report;
+}
+
 }  // namespace
 
 std::int32_t DegradationReport::count(RunOutcome outcome) const {
@@ -508,55 +599,9 @@ DegradationReport mpm_degradation(const ProblemSpec& spec,
                                   const std::vector<std::int32_t>& loss_percents,
                                   std::uint64_t seed,
                                   const MpmRunLimits& limits) {
-  DegradationReport report;
-  report.algorithm = factory.name();
-  report.substrate = "mpm";
-  // Grid cells are fully independent (per-cell injector and scheduler, both
-  // seeded by the cell's own (k, p)); the cell list fixes the order.
-  struct Cell {
-    std::int32_t k;
-    std::int32_t p;
-  };
-  std::vector<Cell> grid;
-  for (const std::int32_t k : crash_counts)
-    for (const std::int32_t p : loss_percents) grid.push_back(Cell{k, p});
-  obs::Observer* const parent = obs::default_observer();
-  std::deque<obs::ObservationShard> shards = make_shards(parent, grid.size());
-  report.cells.resize(grid.size());
-  recovery::supervised_sweep(
-      "mpm_degradation", grid.size(),
-      [&](std::size_t i) {
-        const std::int32_t k = grid[i].k;
-        const std::int32_t p = grid[i].p;
-        obs::Observer* const o = shards[i].observer();
-        obs::ProfileScope exec_scope(o ? o->profiler : nullptr,
-                                     obs::ProfilePhase::kExecTask);
-        obs::Span span(o ? o->trace : nullptr, "degradation.mpm_cell", "sim",
-                       o && o->trace
-                           ? obs::args_object({obs::arg_int("crashes", k),
-                                               obs::arg_int("percent", p)})
-                           : std::string());
-        FaultInjector injector(grid_plan(
-            k, p, false, spec.n, seed + 131 * static_cast<std::uint64_t>(k) +
-                                     static_cast<std::uint64_t>(p)));
-        auto sched = canonical_scheduler(constraints, spec.n);
-        FixedDelay delay(constraints.d2);
-        const MpmOutcome out = run_mpm_once(spec, constraints, factory,
-                                            *sched, delay, limits, &injector,
-                                            o);
-        DegradationCell cell;
-        cell.crashes = k;
-        cell.fault_percent = p;
-        fill_cell(cell, out.verdict, out.run.error, out.run.completed,
-                  injector, spec);
-        return encode_degradation_cell(cell);
-      },
-      [&](std::size_t i, const std::string& payload) {
-        shards[i].merge_into_parent();
-        report.cells[i] =
-            decode_degradation_cell(payload, grid[i].k, grid[i].p);
-      });
-  return report;
+  return degradation(mpm_substrate(spec, constraints, factory, limits),
+                     factory.name(), spec, constraints, crash_counts,
+                     loss_percents, seed);
 }
 
 DegradationReport smm_degradation(
@@ -565,52 +610,9 @@ DegradationReport smm_degradation(
     const std::vector<std::int32_t>& crash_counts,
     const std::vector<std::int32_t>& corrupt_percents, std::uint64_t seed,
     const SmmRunLimits& limits) {
-  DegradationReport report;
-  report.algorithm = factory.name();
-  report.substrate = "smm";
-  const std::int32_t total = smm_total_processes(spec.n, spec.b);
-  struct Cell {
-    std::int32_t k;
-    std::int32_t p;
-  };
-  std::vector<Cell> grid;
-  for (const std::int32_t k : crash_counts)
-    for (const std::int32_t p : corrupt_percents) grid.push_back(Cell{k, p});
-  obs::Observer* const parent = obs::default_observer();
-  std::deque<obs::ObservationShard> shards = make_shards(parent, grid.size());
-  report.cells.resize(grid.size());
-  recovery::supervised_sweep(
-      "smm_degradation", grid.size(),
-      [&](std::size_t i) {
-        const std::int32_t k = grid[i].k;
-        const std::int32_t p = grid[i].p;
-        obs::Observer* const o = shards[i].observer();
-        obs::ProfileScope exec_scope(o ? o->profiler : nullptr,
-                                     obs::ProfilePhase::kExecTask);
-        obs::Span span(o ? o->trace : nullptr, "degradation.smm_cell", "sim",
-                       o && o->trace
-                           ? obs::args_object({obs::arg_int("crashes", k),
-                                               obs::arg_int("percent", p)})
-                           : std::string());
-        FaultInjector injector(grid_plan(
-            k, p, true, spec.n, seed + 131 * static_cast<std::uint64_t>(k) +
-                                    static_cast<std::uint64_t>(p)));
-        auto sched = canonical_scheduler(constraints, total);
-        const SmmOutcome out = run_smm_once(spec, constraints, factory,
-                                            *sched, limits, &injector, o);
-        DegradationCell cell;
-        cell.crashes = k;
-        cell.fault_percent = p;
-        fill_cell(cell, out.verdict, out.run.error, out.run.completed,
-                  injector, spec);
-        return encode_degradation_cell(cell);
-      },
-      [&](std::size_t i, const std::string& payload) {
-        shards[i].merge_into_parent();
-        report.cells[i] =
-            decode_degradation_cell(payload, grid[i].k, grid[i].p);
-      });
-  return report;
+  return degradation(smm_substrate(spec, constraints, factory, limits),
+                     factory.name(), spec, constraints, crash_counts,
+                     corrupt_percents, seed);
 }
 
 // --- Chaos sweeps -----------------------------------------------------------
@@ -723,6 +725,40 @@ Duration chaos_gap_hi(const TimingConstraints& c) {
   return lo < c.c2 ? c.c2 : lo * 4;
 }
 
+// Run i draws its fault plan, schedule and delays from its own seed.
+template <typename Run>
+ChaosReport chaos_sweep(const SweepSubstrate<Run>& sub,
+                        const TimingConstraints& constraints,
+                        std::int32_t runs, std::uint64_t seed) {
+  const std::size_t count = runs > 0 ? static_cast<std::size_t>(runs) : 0;
+  const Duration lo = chaos_gap_lo(constraints);
+  const Duration hi = chaos_gap_hi(constraints);
+  const Duration dmax =
+      constraints.d2.is_positive() ? constraints.d2 : Duration(4);
+  const auto run_seed = [seed](std::size_t i) {
+    return seed + 2654435761ULL * i;
+  };
+  ChaosReport report;
+  run_sweep(
+      sub.name + "_chaos", "chaos." + sub.name + "_run", "sim", count,
+      [&](std::size_t i) {
+        return obs::args_object(
+            {obs::arg_int("seed", static_cast<std::int64_t>(run_seed(i)))});
+      },
+      [&](std::size_t i, obs::Observer* o) {
+        const std::uint64_t s = run_seed(i);
+        FaultInjector injector(FaultPlan::random(s, sub.processes));
+        UniformGapScheduler sched(lo, hi, s + 1);
+        UniformRandomDelay delay(Duration(0), dmax, s + 2);
+        const auto out = sub.run(sched, &delay, &injector, o);
+        return encode_chaos_run(classify_chaos(out.run, out.verdict, s));
+      },
+      [&](std::size_t i, const std::string& payload) {
+        fold_chaos(report, decode_chaos_run(payload, run_seed(i)));
+      });
+  return report;
+}
+
 }  // namespace
 
 ChaosReport mpm_chaos_sweep(const ProblemSpec& spec,
@@ -730,41 +766,8 @@ ChaosReport mpm_chaos_sweep(const ProblemSpec& spec,
                             const MpmAlgorithmFactory& factory,
                             std::int32_t runs, std::uint64_t seed,
                             const MpmRunLimits& limits) {
-  const std::size_t count = runs > 0 ? static_cast<std::size_t>(runs) : 0;
-  const Duration lo = chaos_gap_lo(constraints);
-  const Duration hi = chaos_gap_hi(constraints);
-  const Duration dmax =
-      constraints.d2.is_positive() ? constraints.d2 : Duration(4);
-  obs::Observer* const parent = obs::default_observer();
-  std::deque<obs::ObservationShard> shards = make_shards(parent, count);
-  ChaosReport report;
-  recovery::supervised_sweep(
-      "mpm_chaos", count,
-      [&](std::size_t i) {
-        const std::uint64_t run_seed = seed + 2654435761ULL * i;
-        obs::Observer* const o = shards[i].observer();
-        obs::ProfileScope exec_scope(o ? o->profiler : nullptr,
-                                     obs::ProfilePhase::kExecTask);
-        obs::Span span(
-            o ? o->trace : nullptr, "chaos.mpm_run", "sim",
-            o && o->trace
-                ? obs::args_object({obs::arg_int(
-                      "seed", static_cast<std::int64_t>(run_seed))})
-                : std::string());
-        FaultInjector injector(FaultPlan::random(run_seed, spec.n));
-        UniformGapScheduler sched(lo, hi, run_seed + 1);
-        UniformRandomDelay delay(Duration(0), dmax, run_seed + 2);
-        const MpmOutcome out = run_mpm_once(spec, constraints, factory, sched,
-                                            delay, limits, &injector, o);
-        return encode_chaos_run(classify_chaos(out.run, out.verdict,
-                                               run_seed));
-      },
-      [&](std::size_t i, const std::string& payload) {
-        shards[i].merge_into_parent();
-        fold_chaos(report,
-                   decode_chaos_run(payload, seed + 2654435761ULL * i));
-      });
-  return report;
+  return chaos_sweep(mpm_substrate(spec, constraints, factory, limits),
+                     constraints, runs, seed);
 }
 
 ChaosReport smm_chaos_sweep(const ProblemSpec& spec,
@@ -772,39 +775,8 @@ ChaosReport smm_chaos_sweep(const ProblemSpec& spec,
                             const SmmAlgorithmFactory& factory,
                             std::int32_t runs, std::uint64_t seed,
                             const SmmRunLimits& limits) {
-  const std::size_t count = runs > 0 ? static_cast<std::size_t>(runs) : 0;
-  const Duration lo = chaos_gap_lo(constraints);
-  const Duration hi = chaos_gap_hi(constraints);
-  const std::int32_t total = smm_total_processes(spec.n, spec.b);
-  obs::Observer* const parent = obs::default_observer();
-  std::deque<obs::ObservationShard> shards = make_shards(parent, count);
-  ChaosReport report;
-  recovery::supervised_sweep(
-      "smm_chaos", count,
-      [&](std::size_t i) {
-        const std::uint64_t run_seed = seed + 2654435761ULL * i;
-        obs::Observer* const o = shards[i].observer();
-        obs::ProfileScope exec_scope(o ? o->profiler : nullptr,
-                                     obs::ProfilePhase::kExecTask);
-        obs::Span span(
-            o ? o->trace : nullptr, "chaos.smm_run", "sim",
-            o && o->trace
-                ? obs::args_object({obs::arg_int(
-                      "seed", static_cast<std::int64_t>(run_seed))})
-                : std::string());
-        FaultInjector injector(FaultPlan::random(run_seed, total));
-        UniformGapScheduler sched(lo, hi, run_seed + 1);
-        const SmmOutcome out = run_smm_once(spec, constraints, factory, sched,
-                                            limits, &injector, o);
-        return encode_chaos_run(classify_chaos(out.run, out.verdict,
-                                               run_seed));
-      },
-      [&](std::size_t i, const std::string& payload) {
-        shards[i].merge_into_parent();
-        fold_chaos(report,
-                   decode_chaos_run(payload, seed + 2654435761ULL * i));
-      });
-  return report;
+  return chaos_sweep(smm_substrate(spec, constraints, factory, limits),
+                     constraints, runs, seed);
 }
 
 }  // namespace sesp

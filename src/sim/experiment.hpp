@@ -7,13 +7,16 @@
 // The degradation API additionally sweeps crash/loss grids and classifies
 // every run as solved / degraded / diagnosed — the robustness contract.
 //
-// Every sweep in this header (worst-case families, degradation grids, chaos
-// sweeps) fans its independent runs out over the exec::parallel_for_each
-// pool and is bit-identical for every job count, including SESP_JOBS=1: the
-// run list is built up front, every run derives its RNG streams from its own
-// (seed, run-index) pair, results land in per-run slots, and observability
-// goes through per-run obs::ObservationShards merged in run order
-// (docs/parallelism.md).
+// The three sweep kinds (worst-case families, degradation grids, chaos
+// sweeps) are each written once in experiment.cpp, parameterised by
+// substrate; the mpm_* / smm_* functions below are their entry points. One
+// private driver fans every sweep's independent runs out over the
+// exec::parallel_for_each pool, bit-identical for every job count
+// including SESP_JOBS=1: the run list is built up front, every run derives
+// its RNG streams from its own (seed, run-index) pair, results land in
+// per-run slots, and observability goes through per-run
+// obs::ObservationShards merged in run order (docs/parallelism.md).
+// sim/run_spec.hpp turns a named run (RunSpec) into calls of these.
 //
 // The same sweeps run under recovery::supervised_sweep: with a supervisor
 // installed (tool flags --journal/--resume) each slot's result is

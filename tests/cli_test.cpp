@@ -124,6 +124,29 @@ TEST(CliTest, UsageErrorsExitTwo) {
   EXPECT_EQ(
       run_command(kCli + " --check-certificate=/definitely/missing").status,
       2);
+  // Malformed or out-of-range integer flags are usage errors, never aborts.
+  for (const std::string& command :
+       {kCli + " --s=abc", kCli + " --n=99999999999", kCli + " --jobs=1x",
+        kCli + " --task-retries=q", kAttack + " --s=abc",
+        kConformance + " --cases=abc", kShard + " --workers=x",
+        kPerf + " check --window=x"}) {
+    const auto r = run_command(command);
+    EXPECT_EQ(r.status, 2) << command << "\n" << r.output;
+    EXPECT_NE(r.output.find("bad integer for --"), std::string::npos)
+        << command << "\n" << r.output;
+  }
+  // Unknown names are rejected with the valid values listed, before any
+  // run starts.
+  for (const std::string& command :
+       {kCli + " --model=bogus --adversary=lockstep --s=2 --n=2",
+        kCli + " --adversary=bogus",
+        kCli + " --substrate=p2p --topology=bogus"}) {
+    const auto r = run_command(command);
+    EXPECT_EQ(r.status, 2) << command << "\n" << r.output;
+    EXPECT_NE(r.output.find("(want "), std::string::npos)
+        << command << "\n" << r.output;
+    EXPECT_EQ(r.output.find("algorithm:"), std::string::npos) << r.output;
+  }
 }
 
 // The crash-safe execution contract end to end (docs/robustness.md): a run

@@ -28,6 +28,7 @@
 #include "serve/cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "util/digest.hpp"
 
 namespace sesp::serve {
 namespace {
@@ -182,14 +183,14 @@ TEST(ProtocolTest, RenderRequestRoundTrips) {
   Request r;
   r.id = 9;
   r.op = Op::kSweep;
-  r.substrate = "smm";
-  r.model = "periodic";
-  r.spec = ProblemSpec{4, 5, 2};
-  r.c1 = Ratio(1, 3);
-  r.c2 = Ratio(7, 2);
-  r.d1 = Ratio(1, 4);
-  r.d2 = Ratio(9, 2);
-  r.seed = 777;
+  r.run.substrate = "smm";
+  r.run.model = "periodic";
+  r.run.spec = ProblemSpec{4, 5, 2};
+  r.run.c1 = Ratio(1, 3);
+  r.run.c2 = Ratio(7, 2);
+  r.run.d1 = Ratio(1, 4);
+  r.run.d2 = Ratio(9, 2);
+  r.run.seed = 777;
   r.deadline_ms = 2'500;
   const std::string line = render_request(r);
   Request back;
@@ -198,18 +199,41 @@ TEST(ProtocolTest, RenderRequestRoundTrips) {
                                                           << line;
   EXPECT_EQ(back.id, r.id);
   EXPECT_EQ(back.op, r.op);
-  EXPECT_EQ(back.substrate, r.substrate);
-  EXPECT_EQ(back.model, r.model);
-  EXPECT_EQ(back.spec.s, r.spec.s);
-  EXPECT_EQ(back.spec.n, r.spec.n);
-  EXPECT_EQ(back.spec.b, r.spec.b);
-  EXPECT_EQ(back.c1, r.c1);
-  EXPECT_EQ(back.c2, r.c2);
-  EXPECT_EQ(back.d1, r.d1);
-  EXPECT_EQ(back.d2, r.d2);
-  EXPECT_EQ(back.seed, r.seed);
+  EXPECT_EQ(back.run.substrate, r.run.substrate);
+  EXPECT_EQ(back.run.model, r.run.model);
+  EXPECT_EQ(back.run.spec.s, r.run.spec.s);
+  EXPECT_EQ(back.run.spec.n, r.run.spec.n);
+  EXPECT_EQ(back.run.spec.b, r.run.spec.b);
+  EXPECT_EQ(back.run.c1, r.run.c1);
+  EXPECT_EQ(back.run.c2, r.run.c2);
+  EXPECT_EQ(back.run.d1, r.run.d1);
+  EXPECT_EQ(back.run.d2, r.run.d2);
+  EXPECT_EQ(back.run.seed, r.run.seed);
   EXPECT_EQ(back.deadline_ms, r.deadline_ms);
   EXPECT_EQ(request_digest(back), request_digest(r));
+}
+
+// The canonical bytes and digests of one fixed request, pinned to recorded
+// values: the rendered line is the journaled sweep form and the digest is
+// the sweep ticket and journal guard, so neither may move.
+TEST(ProtocolTest, RenderAndDigestArePinned) {
+  const std::string line =
+      R"({"id":12,"op":"sweep","substrate":"smm","model":"periodic",)"
+      R"("adversary":"lockstep","s":4,"n":5,"b":3,"c1":"1/3","c2":"7/2",)"
+      R"("d1":"1/4","d2":"9/2","seed":777,"deadline_ms":2500})";
+  Request r;
+  std::string error;
+  ASSERT_TRUE(parse_request(line, ProtocolLimits{}, &r, &error)) << error;
+  EXPECT_EQ(render_request(r),
+            R"({"id":12,"op":"sweep","substrate":"smm","side":"mp",)"
+            R"("model":"periodic","adversary":"lockstep","s":4,"n":5,"b":3,)"
+            R"("c1":"1/3","c2":"7/2","d1":"1/4","d2":"9/2","seed":777,)"
+            R"("deadline_ms":2500})");
+  EXPECT_EQ(util::fnv1a_hex(request_digest(r)), "369324ed7a53f4cd");
+  r.op = Op::kRun;
+  EXPECT_EQ(util::fnv1a_hex(request_digest(r)), "b549842f13dfc3cf");
+  r.op = Op::kBound;
+  EXPECT_EQ(util::fnv1a_hex(request_digest(r)), "72dc021e78c18ade");
 }
 
 TEST(ProtocolTest, DigestIgnoresIdAndDeadline) {
@@ -221,7 +245,7 @@ TEST(ProtocolTest, DigestIgnoresIdAndDeadline) {
   b.deadline_ms = 5'000;
   EXPECT_EQ(request_digest(a), request_digest(b));
   Request c = a;
-  c.seed = a.seed + 1;
+  c.run.seed = a.run.seed + 1;
   EXPECT_NE(request_digest(a), request_digest(c));
 }
 
@@ -229,8 +253,8 @@ TEST(ProtocolTest, BoundDigestIgnoresAdversaryAndSeed) {
   Request a;
   a.op = Op::kBound;
   Request b = a;
-  b.adversary = "lockstep";
-  b.seed = a.seed + 123;
+  b.run.adversary = "lockstep";
+  b.run.seed = a.run.seed + 123;
   EXPECT_EQ(request_digest(a), request_digest(b));
   Request c = a;
   c.bound_side = "sm";

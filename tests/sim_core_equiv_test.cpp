@@ -52,12 +52,12 @@ void expect_verdict_eq(const Verdict& a, const Verdict& b) {
 void expect_replay_exact(const CaseDescriptor& c, const TimedComputation& t) {
   const std::string name = conformance::resolved_algorithm(c);
   if (c.substrate == Substrate::kSharedMemory) {
-    const auto factory = conformance::make_smm_factory(name);
+    const auto factory = make_smm_factory(name);
     ASSERT_TRUE(factory) << name;
     const ReplayReport rep = replay_smm(t, c.spec, c.constraints, *factory);
     EXPECT_TRUE(rep.match) << c.to_string() << ": " << rep.detail;
   } else {
-    const auto factory = conformance::make_mpm_factory(name);
+    const auto factory = make_mpm_factory(name);
     ASSERT_TRUE(factory) << name;
     const ReplayReport rep = replay_mpm(t, c.spec, c.constraints, *factory);
     EXPECT_TRUE(rep.match) << c.to_string() << ": " << rep.detail;
@@ -132,7 +132,7 @@ TEST(SimCoreEquiv, MpmFaultPlansReproduceByteIdenticalRuns) {
   const ProblemSpec spec{2, 3, 2};
   const auto constraints =
       TimingConstraints::semi_synchronous(Ratio(1), Ratio(2), Ratio(1));
-  const auto factory = conformance::make_mpm_factory("semisync");
+  const auto factory = make_mpm_factory("semisync");
   ASSERT_TRUE(factory);
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const FaultPlan plan = FaultPlan::random(seed, spec.n);
@@ -158,7 +158,7 @@ TEST(SimCoreEquiv, SmmFaultPlansReproduceByteIdenticalRuns) {
   const ProblemSpec spec{2, 3, 2};
   const auto constraints =
       TimingConstraints::semi_synchronous(Ratio(1), Ratio(2));
-  const auto factory = conformance::make_smm_factory("semisync");
+  const auto factory = make_smm_factory("semisync");
   ASSERT_TRUE(factory);
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const FaultPlan plan = FaultPlan::random(seed, spec.n);
@@ -184,8 +184,8 @@ TEST(SimCoreEquiv, ChaosSweepReportsAreJobCountInvariant) {
       TimingConstraints::semi_synchronous(Ratio(1), Ratio(2), Ratio(1));
   const auto smm_constraints =
       TimingConstraints::semi_synchronous(Ratio(1), Ratio(2));
-  const auto mpm_factory = conformance::make_mpm_factory("semisync");
-  const auto smm_factory = conformance::make_smm_factory("semisync");
+  const auto mpm_factory = make_mpm_factory("semisync");
+  const auto smm_factory = make_smm_factory("semisync");
   ASSERT_TRUE(mpm_factory);
   ASSERT_TRUE(smm_factory);
 
@@ -215,7 +215,7 @@ TEST(SimCoreEquiv, SameTimeStormMatchesReplayOnBothSubstrates) {
   const ProblemSpec spec{3, 4, 2};
   {
     const auto constraints = TimingConstraints::synchronous(1, 1);
-    const auto factory = conformance::make_mpm_factory("sync");
+    const auto factory = make_mpm_factory("sync");
     ASSERT_TRUE(factory);
     const auto once = [&] {
       FixedPeriodScheduler sched(spec.n, Duration(1));
@@ -233,7 +233,7 @@ TEST(SimCoreEquiv, SameTimeStormMatchesReplayOnBothSubstrates) {
   }
   {
     const auto constraints = TimingConstraints::synchronous(1);
-    const auto factory = conformance::make_smm_factory("sync");
+    const auto factory = make_smm_factory("sync");
     ASSERT_TRUE(factory);
     const auto once = [&] {
       FixedPeriodScheduler sched(smm_total_processes(spec.n, spec.b),
@@ -271,7 +271,7 @@ TEST(SimCoreEquiv, PowerLawGapScheduleIsReplayExact) {
   const ProblemSpec spec{2, 3, 2};
   const auto constraints =
       TimingConstraints::sporadic(Ratio(1), Ratio(1), Ratio(1));
-  const auto factory = conformance::make_mpm_factory("sporadic");
+  const auto factory = make_mpm_factory("sporadic");
   ASSERT_TRUE(factory);
   const auto once = [&] {
     PowerLawScheduler sched(0x9e3779b97f4a7c15ULL);
@@ -294,7 +294,7 @@ TEST(SimCoreEquiv, DenominatorBlowupsTakeThePooledPathAndStayExact) {
   const ProblemSpec spec{2, 3, 2};
   const auto constraints =
       TimingConstraints::sporadic(Ratio(1), Ratio(1), Ratio(1));
-  const auto factory = conformance::make_mpm_factory("sporadic");
+  const auto factory = make_mpm_factory("sporadic");
   ASSERT_TRUE(factory);
   std::vector<Duration> periods;
   for (std::int32_t p = 0; p < spec.n; ++p) {

@@ -35,6 +35,7 @@
 
 #include <unistd.h>
 
+#include "cli_flags.hpp"
 #include "obs/observer.hpp"
 #include "recovery/journal.hpp"
 #include "recovery/supervisor.hpp"
@@ -59,14 +60,16 @@ struct RecoveryOptions {
     if (key == "--journal") journal = value;
     else if (key == "--resume") resume = value;
     else if (key == "--task-deadline")
-      policy.deadline_seconds = std::stod(value);
+      policy.deadline_seconds = flag_value<double>(key, value);
     else if (key == "--task-retries")
-      policy.max_retries = std::stoi(value);
+      policy.max_retries = flag_value<int>(key, value);
     else if (key == "--shard-dir") shard_dir = value;
-    else if (key == "--workers") workers = std::stoi(value);
-    else if (key == "--worker-id") worker_id = std::stoi(value);
-    else if (key == "--lease-ms") lease_ms = std::stoll(value);
-    else if (key == "--shard-restarts") shard_restarts = std::stoi(value);
+    else if (key == "--workers") workers = flag_value<int>(key, value);
+    else if (key == "--worker-id") worker_id = flag_value<int>(key, value);
+    else if (key == "--lease-ms")
+      lease_ms = flag_value<std::int64_t>(key, value);
+    else if (key == "--shard-restarts")
+      shard_restarts = flag_value<int>(key, value);
     else return false;
     return true;
   }

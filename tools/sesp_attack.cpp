@@ -33,6 +33,7 @@
 #include "algorithms/smm/async_alg.hpp"
 #include "algorithms/smm/broken_algs.hpp"
 #include "algorithms/smm/semisync_alg.hpp"
+#include "cli_flags.hpp"
 #include "cli_observation.hpp"
 #include "cli_recovery.hpp"
 #include "model/trace_io.hpp"
@@ -92,12 +93,12 @@ std::optional<Options> parse(int argc, char** argv) {
     if (key == "--construction") opt.construction = value;
     else if (key == "--alg") opt.alg = value;
     else if (key == "--out") opt.out = value;
-    else if (key == "--s") opt.spec.s = std::stoll(value);
-    else if (key == "--n") opt.spec.n = std::stoi(value);
-    else if (key == "--b") opt.spec.b = std::stoi(value);
+    else if (key == "--s") opt.spec.s = flag_value<std::int64_t>(key, value);
+    else if (key == "--n") opt.spec.n = flag_value<int>(key, value);
+    else if (key == "--b") opt.spec.b = flag_value<int>(key, value);
     else if (key == "--expect-survive") opt.expect_survive = true;
     else if (key == "--jobs") {
-      const int jobs = std::stoi(value);
+      const int jobs = flag_value<int>(key, value);
       if (jobs < 1) {
         std::cerr << "--jobs must be >= 1\n";
         return std::nullopt;
@@ -125,7 +126,9 @@ std::optional<Options> parse(int argc, char** argv) {
 
 std::int64_t alg_param(const std::string& alg) {
   const std::size_t colon = alg.find(':');
-  return colon == std::string::npos ? 2 : std::stoll(alg.substr(colon + 1));
+  return colon == std::string::npos
+             ? 2
+             : flag_value<std::int64_t>("--alg", alg.substr(colon + 1));
 }
 
 // Everything the tool reports about one attack, in journal-codec form: the

@@ -24,27 +24,16 @@
 #include <vector>
 
 #include "adversary/certificate.hpp"
-#include "adversary/delay_strategies.hpp"
 #include "exec/jobs.hpp"
-#include "adversary/step_schedulers.hpp"
-#include "algorithms/mpm/async_alg.hpp"
-#include "algorithms/mpm/periodic_alg.hpp"
-#include "algorithms/mpm/semisync_alg.hpp"
-#include "algorithms/mpm/sporadic_alg.hpp"
-#include "algorithms/mpm/sync_alg.hpp"
 #include "algorithms/p2p/knowledge_algs.hpp"
-#include "algorithms/smm/async_alg.hpp"
-#include "algorithms/smm/periodic_alg.hpp"
-#include "algorithms/smm/semisync_alg.hpp"
-#include "algorithms/smm/sync_alg.hpp"
-#include "analysis/bounds.hpp"
 #include "analysis/session_stats.hpp"
 #include "analysis/timeline.hpp"
 #include "model/trace_io.hpp"
 #include "p2p/p2p_simulator.hpp"
 #include "obs/json.hpp"
 #include "shard/lease.hpp"
-#include "sim/experiment.hpp"
+#include "sim/run_spec.hpp"
+#include "cli_flags.hpp"
 #include "cli_observation.hpp"
 #include "cli_recovery.hpp"
 
@@ -52,9 +41,7 @@ namespace sesp {
 namespace {
 
 struct Options {
-  std::string substrate = "mpm";
-  std::string model = "semisync";
-  std::string adversary = "worst";
+  RunSpec run;
   std::string topology = "complete";
   std::string faults;
   std::string dump_trace;
@@ -62,9 +49,6 @@ struct Options {
   std::string journal_inspect;
   bool inspect_json = false;
   bool degradation = false;
-  ProblemSpec spec{3, 3, 2};
-  Ratio c1 = 1, c2 = 2, d1 = 0, d2 = 4;
-  std::uint64_t seed = 1992;
   bool print_trace = false;
   bool timeline = false;
   bool stats = false;
@@ -78,15 +62,14 @@ struct Options {
 // flags are deliberately excluded — resuming at a different job count (or
 // with different reporting) is supported and bit-identical.
 std::uint64_t config_digest(const Options& opt) {
-  std::string c = opt.substrate + '|' + opt.model + '|' + opt.adversary +
-                  '|' + opt.topology + '|' + opt.faults + '|' +
+  const RunSpec& r = opt.run;
+  std::string c = r.substrate + '|' + r.model + '|' + r.adversary + '|' +
+                  opt.topology + '|' + opt.faults + '|' +
                   (opt.degradation ? "degradation" : "single") + '|' +
-                  std::to_string(opt.spec.s) + '|' +
-                  std::to_string(opt.spec.n) + '|' +
-                  std::to_string(opt.spec.b) + '|' + ratio_to_text(opt.c1) +
-                  '|' + ratio_to_text(opt.c2) + '|' + ratio_to_text(opt.d1) +
-                  '|' + ratio_to_text(opt.d2) + '|' +
-                  std::to_string(opt.seed);
+                  std::to_string(r.spec.s) + '|' + std::to_string(r.spec.n) +
+                  '|' + std::to_string(r.spec.b) + '|' + ratio_to_text(r.c1) +
+                  '|' + ratio_to_text(r.c2) + '|' + ratio_to_text(r.d1) + '|' +
+                  ratio_to_text(r.d2) + '|' + std::to_string(r.seed);
   return recovery::fnv1a(c);
 }
 
@@ -137,20 +120,24 @@ std::optional<Options> parse(int argc, char** argv) {
     if (opt.obs.consume(key, value)) continue;
     if (opt.recovery.consume(key, value)) continue;
     if (key == "--journal-inspect") opt.journal_inspect = value;
-    else if (key == "--substrate") opt.substrate = value;
-    else if (key == "--model") opt.model = value;
-    else if (key == "--adversary") opt.adversary = value;
+    else if (key == "--substrate") opt.run.substrate = value;
+    else if (key == "--model") opt.run.model = value;
+    else if (key == "--adversary") opt.run.adversary = value;
     else if (key == "--topology") opt.topology = value;
     else if (key == "--faults") opt.faults = value;
     else if (key == "--degradation") opt.degradation = true;
     else if (key == "--dump-trace") opt.dump_trace = value;
     else if (key == "--check-certificate") opt.check_certificate = value;
-    else if (key == "--s") opt.spec.s = std::stoll(value);
-    else if (key == "--n") opt.spec.n = std::stoi(value);
-    else if (key == "--b") opt.spec.b = std::stoi(value);
-    else if (key == "--seed") opt.seed = std::stoull(value);
+    else if (key == "--s")
+      opt.run.spec.s = flag_value<std::int64_t>(key, value);
+    else if (key == "--n")
+      opt.run.spec.n = flag_value<std::int32_t>(key, value);
+    else if (key == "--b")
+      opt.run.spec.b = flag_value<std::int32_t>(key, value);
+    else if (key == "--seed")
+      opt.run.seed = flag_value<std::uint64_t>(key, value);
     else if (key == "--jobs") {
-      const int jobs = std::stoi(value);
+      const int jobs = flag_value<int>(key, value);
       if (jobs < 1) {
         std::cerr << "--jobs must be >= 1\n";
         return std::nullopt;
@@ -167,10 +154,10 @@ std::optional<Options> parse(int argc, char** argv) {
         std::cerr << "bad rational for " << key << "\n";
         return std::nullopt;
       }
-      if (key == "--c1") opt.c1 = *r;
-      if (key == "--c2") opt.c2 = *r;
-      if (key == "--d1") opt.d1 = *r;
-      if (key == "--d2") opt.d2 = *r;
+      if (key == "--c1") opt.run.c1 = *r;
+      if (key == "--c2") opt.run.c2 = *r;
+      if (key == "--d1") opt.run.d1 = *r;
+      if (key == "--d2") opt.run.d2 = *r;
     } else if (key == "--help" || key == "-h") {
       usage(std::cout);
       std::exit(0);
@@ -184,28 +171,29 @@ std::optional<Options> parse(int argc, char** argv) {
                  "(use --json=FILE for run metrics)\n";
     return std::nullopt;
   }
-  return opt;
-}
-
-TimingConstraints build_constraints(const Options& opt,
-                                    std::int32_t total_processes) {
-  if (opt.model == "sync") return TimingConstraints::synchronous(opt.c2, opt.d2);
-  if (opt.model == "periodic") {
-    // Heterogeneous periods: process i gets c1 + (c2-c1)*i/(total-1).
-    std::vector<Duration> periods;
-    for (std::int32_t i = 0; i < total_processes; ++i) {
-      const Ratio frac = total_processes > 1
-                             ? Ratio(i, std::max(total_processes - 1, 1))
-                             : Ratio(0);
-      periods.push_back(opt.c1 + (opt.c2 - opt.c1) * frac);
+  const auto known = [](const char* flag, const std::string& value,
+                        std::initializer_list<const char*> valid) {
+    std::string want;
+    for (const char* v : valid) {
+      if (value == v) return true;
+      want += (want.empty() ? "" : "|") + std::string(v);
     }
-    return TimingConstraints::periodic(periods, opt.d2);
+    std::cerr << "unknown " << flag << "=" << value << " (want " << want
+              << ")\n";
+    return false;
+  };
+  if (!known("--substrate", opt.run.substrate, {"mpm", "smm", "p2p"}) ||
+      !known("--adversary", opt.run.adversary,
+             {"worst", "lockstep", "random"}) ||
+      !known("--topology", opt.topology,
+             {"complete", "ring", "line", "star", "tree", "grid"}))
+    return std::nullopt;
+  if (!run_constraints(opt.run)) {
+    std::cerr << "unknown --model=" << opt.run.model
+              << " (want sync|periodic|semisync|sporadic|async)\n";
+    return std::nullopt;
   }
-  if (opt.model == "semisync")
-    return TimingConstraints::semi_synchronous(opt.c1, opt.c2, opt.d2);
-  if (opt.model == "sporadic")
-    return TimingConstraints::sporadic(opt.c1, opt.d1, opt.d2);
-  return TimingConstraints::asynchronous(opt.c2, opt.d2);
+  return opt;
 }
 
 // Builds the fault injector requested by --faults ("random" draws a seeded
@@ -218,7 +206,7 @@ std::unique_ptr<FaultInjector> make_injector(const Options& opt,
   if (opt.faults.empty()) return nullptr;
   FaultPlan plan;
   if (opt.faults == "random") {
-    plan = FaultPlan::random(opt.seed, num_processes);
+    plan = FaultPlan::random(opt.run.seed, num_processes);
   } else {
     std::string error;
     const auto parsed = FaultPlan::parse(opt.faults, &error);
@@ -399,25 +387,26 @@ int run_certificate_check(const Options& opt) {
   return check.valid ? 0 : 1;
 }
 
-int run_mpm(const Options& opt) {
-  const auto constraints = build_constraints(opt, opt.spec.n);
-  std::unique_ptr<MpmAlgorithmFactory> factory;
-  if (opt.model == "sync") factory = std::make_unique<SyncMpmFactory>();
-  else if (opt.model == "periodic")
-    factory = std::make_unique<PeriodicMpmFactory>();
-  else if (opt.model == "semisync")
-    factory = std::make_unique<SemiSyncMpmFactory>();
-  else if (opt.model == "sporadic")
-    factory = std::make_unique<SporadicMpmFactory>();
-  else factory = std::make_unique<AsyncMpmFactory>();
-  std::cout << "algorithm:   " << factory->name() << "\n";
+// The tail every single run shares: verdict, optional trace output and,
+// when faults were injected, the outcome classification.
+int report_run(const Options& opt, const TimedComputation& trace,
+               const Verdict& verdict, const std::optional<SimError>& error,
+               const FaultInjector* injector) {
+  print_verdict(verdict, opt.run.spec);
+  maybe_dump(opt, trace);
+  if (injector)
+    return print_fault_outcome(*injector, error, verdict, opt.run.spec);
+  return verdict.solves ? 0 : 1;
+}
+
+// MPM and SMM: the Table-1 algorithm of the spec under its degradation grid,
+// its worst-case family, or one run.
+int run_table1(const Options& opt) {
+  const RunPlan plan = *RunPlan::resolve(opt.run);
+  std::cout << "algorithm:   " << plan.algorithm() << "\n";
 
   if (opt.degradation) {
-    MpmRunLimits limits;
-    limits.max_steps = 150'000;  // crash-induced livelocks cut over fast
-    const DegradationReport report =
-        mpm_degradation(opt.spec, constraints, *factory, {0, 1, 2},
-                        {0, 5, 20}, opt.seed, limits);
+    const DegradationReport report = plan.degradation();
     if (recovery::run_interrupted()) return 1;  // partial; finish() maps to 75
     std::cout << report.to_string()
               << "solved/degraded/diagnosed: "
@@ -428,157 +417,69 @@ int run_mpm(const Options& opt) {
   }
 
   int status = 0;
-  const auto injector = make_injector(opt, opt.spec.n, &status);
+  const auto injector = make_injector(opt, run_processes(opt.run), &status);
   if (status) return status;
 
-  if (opt.adversary == "worst" && !injector) {
-    const WorstCase wc = mpm_worst_case(opt.spec, constraints, *factory, 4,
-                                        opt.seed);
+  if (opt.run.adversary == "worst" && !injector) {
+    const WorstCase wc = plan.worst_case();
     if (recovery::run_interrupted()) return 1;
     std::cout << "runs:        " << wc.runs << "\n"
-              << "max time:    " << wc.max_termination.to_string() << "\n"
-              << "min sessions:" << wc.min_sessions << "\n"
-              << "all solved:  " << (wc.all_solved ? "yes" : "no") << "\n";
+              << "max time:    " << wc.max_termination.to_string() << "\n";
+    if (opt.run.substrate == "mpm")
+      std::cout << "min sessions:" << wc.min_sessions << "\n";
+    else
+      std::cout << "max rounds:  " << wc.max_rounds << "\n";
+    std::cout << "all solved:  " << (wc.all_solved ? "yes" : "no") << "\n";
     if (!wc.first_failure.empty())
       std::cout << "failure:     " << wc.first_failure << "\n";
     return wc.all_solved ? 0 : 1;
   }
 
-  std::unique_ptr<StepScheduler> sched;
-  std::unique_ptr<DelayStrategy> delay;
-  if (opt.model == "periodic") {
-    // The periodic model admits exactly one schedule per period vector.
-    sched = std::make_unique<FixedPeriodScheduler>(constraints.periods);
-    delay = std::make_unique<FixedDelay>(opt.d2);
-  } else if (opt.adversary == "lockstep") {
-    sched = std::make_unique<FixedPeriodScheduler>(
-        opt.spec.n, opt.model == "sporadic" ? opt.c1 : opt.c2);
-    delay = std::make_unique<FixedDelay>(opt.d2);
-  } else {
-    const Duration lo = opt.c1.is_positive() ? opt.c1 : opt.c2 / 8;
-    sched = std::make_unique<UniformGapScheduler>(
-        lo, opt.model == "sporadic" ? opt.c1 * 8 : opt.c2, opt.seed);
-    delay = std::make_unique<UniformRandomDelay>(opt.d1, opt.d2, opt.seed + 1);
-  }
-  const MpmOutcome out = run_mpm_once(opt.spec, constraints, *factory, *sched,
-                                      *delay, MpmRunLimits{}, injector.get());
-  print_verdict(out.verdict, opt.spec);
-  maybe_dump(opt, out.run.trace);
-  if (injector)
-    return print_fault_outcome(*injector, out.run.error, out.verdict,
-                               opt.spec);
-  return out.verdict.solves ? 0 : 1;
-}
-
-int run_smm(const Options& opt) {
-  const std::int32_t total = smm_total_processes(opt.spec.n, opt.spec.b);
-  const auto constraints = build_constraints(opt, total);
-  std::unique_ptr<SmmAlgorithmFactory> factory;
-  if (opt.model == "sync") factory = std::make_unique<SyncSmmFactory>();
-  else if (opt.model == "periodic")
-    factory = std::make_unique<PeriodicSmmFactory>();
-  else if (opt.model == "semisync")
-    factory = std::make_unique<SemiSyncSmmFactory>();
-  else factory = std::make_unique<AsyncSmmFactory>();
-  std::cout << "algorithm:   " << factory->name() << "\n";
-
-  if (opt.degradation) {
-    SmmRunLimits limits;
-    limits.max_steps = 150'000;
-    const DegradationReport report =
-        smm_degradation(opt.spec, constraints, *factory, {0, 1, 2},
-                        {0, 5, 20}, opt.seed, limits);
-    if (recovery::run_interrupted()) return 1;
-    std::cout << report.to_string()
-              << "solved/degraded/diagnosed: "
-              << report.count(RunOutcome::kSolved) << "/"
-              << report.count(RunOutcome::kDegraded) << "/"
-              << report.count(RunOutcome::kDiagnosed) << "\n";
-    return 0;
-  }
-
-  int status = 0;
-  const auto injector = make_injector(opt, total, &status);
-  if (status) return status;
-
-  if (opt.adversary == "worst" && !injector) {
-    const WorstCase wc = smm_worst_case(opt.spec, constraints, *factory, 4,
-                                        opt.seed);
-    if (recovery::run_interrupted()) return 1;
-    std::cout << "runs:        " << wc.runs << "\n"
-              << "max time:    " << wc.max_termination.to_string() << "\n"
-              << "max rounds:  " << wc.max_rounds << "\n"
-              << "all solved:  " << (wc.all_solved ? "yes" : "no") << "\n";
-    if (!wc.first_failure.empty())
-      std::cout << "failure:     " << wc.first_failure << "\n";
-    return wc.all_solved ? 0 : 1;
-  }
-
-  std::unique_ptr<StepScheduler> sched;
-  if (opt.model == "periodic") {
-    sched = std::make_unique<FixedPeriodScheduler>(constraints.periods);
-  } else if (opt.adversary == "lockstep") {
-    sched = std::make_unique<FixedPeriodScheduler>(total, opt.c2);
-  } else {
-    const Duration lo = opt.c1.is_positive() ? opt.c1 : opt.c2 / 8;
-    sched = std::make_unique<UniformGapScheduler>(lo, opt.c2, opt.seed);
-  }
-  const SmmOutcome out = run_smm_once(opt.spec, constraints, *factory, *sched,
-                                      SmmRunLimits{}, injector.get());
-  print_verdict(out.verdict, opt.spec);
-  maybe_dump(opt, out.run.trace);
-  if (injector)
-    return print_fault_outcome(*injector, out.run.error, out.verdict,
-                               opt.spec);
-  return out.verdict.solves ? 0 : 1;
+  const SpecOutcome out = plan.run(injector.get());
+  return report_run(opt, out.trace, out.verdict, out.error, injector.get());
 }
 
 int run_p2p(const Options& opt) {
-  if (opt.spec.n < 1) {
+  const ProblemSpec& spec = opt.run.spec;
+  if (spec.n < 1) {
     std::cerr << "p2p needs n >= 1\n";
     return 2;
   }
-  Topology topo = Topology::complete(opt.spec.n);
-  if (opt.topology == "ring") topo = Topology::ring(opt.spec.n);
-  else if (opt.topology == "line") topo = Topology::line(opt.spec.n);
-  else if (opt.topology == "star") topo = Topology::star(opt.spec.n);
-  else if (opt.topology == "tree") topo = Topology::tree(opt.spec.n, 2);
+  Topology topo = Topology::complete(spec.n);
+  if (opt.topology == "ring") topo = Topology::ring(spec.n);
+  else if (opt.topology == "line") topo = Topology::line(spec.n);
+  else if (opt.topology == "star") topo = Topology::star(spec.n);
+  else if (opt.topology == "tree") topo = Topology::tree(spec.n, 2);
   else if (opt.topology == "grid")
-    topo = Topology::grid(2, (opt.spec.n + 1) / 2);
-  if (topo.num_nodes() != opt.spec.n) {
+    topo = Topology::grid(2, (spec.n + 1) / 2);
+  if (topo.num_nodes() != spec.n) {
     std::cerr << "topology size mismatch\n";
     return 2;
   }
 
-  const auto constraints = build_constraints(opt, opt.spec.n);
+  const auto constraints = *run_constraints(opt.run);
   std::unique_ptr<P2pAlgorithmFactory> factory;
-  if (opt.model == "sync") factory = std::make_unique<P2pSyncFactory>();
-  else if (opt.model == "periodic")
+  if (opt.run.model == "sync") factory = std::make_unique<P2pSyncFactory>();
+  else if (opt.run.model == "periodic")
     factory = std::make_unique<P2pPeriodicFactory>();
   else factory = std::make_unique<P2pRoundsFactory>();
   std::cout << "algorithm:   " << factory->name() << "\n"
             << "topology:    " << topo.name()
             << " (diameter " << topo.diameter() << ")\n";
 
-  FixedPeriodScheduler sched(
-      opt.model == "periodic"
-          ? FixedPeriodScheduler(constraints.periods)
-          : FixedPeriodScheduler(opt.spec.n, opt.model == "sporadic"
-                                                 ? opt.c1
-                                                 : opt.c2));
-  FixedDelay delay(opt.d2);
+  // P2P runs always step in lockstep under maximal delays.
+  RunSpec lockstep = opt.run;
+  lockstep.adversary = "lockstep";
+  const auto sched = run_scheduler(lockstep, constraints);
+  const auto delays = run_delays(lockstep);
   int status = 0;
-  const auto injector = make_injector(opt, opt.spec.n, &status);
+  const auto injector = make_injector(opt, spec.n, &status);
   if (status) return status;
   const P2pOutcome out =
-      run_p2p_once(opt.spec, constraints, topo, *factory, sched, delay,
+      run_p2p_once(spec, constraints, topo, *factory, *sched, *delays,
                    P2pRunLimits{}, injector.get());
-  print_verdict(out.verdict, opt.spec);
-  maybe_dump(opt, out.run.trace);
-  if (injector)
-    return print_fault_outcome(*injector, out.run.error, out.verdict,
-                               opt.spec);
-  return out.verdict.solves ? 0 : 1;
+  return report_run(opt, out.run.trace, out.verdict, out.run.error,
+                    injector.get());
 }
 
 }  // namespace
@@ -611,14 +512,11 @@ int main(int argc, char** argv) {
                                sesp::config_digest(*opt), argc, argv);
   if (recovery.error()) return 2;
 
-  std::cout << "substrate:   " << opt->substrate << "\n"
-            << "model:       " << opt->model << "\n"
-            << "instance:    s=" << opt->spec.s << " n=" << opt->spec.n
-            << " b=" << opt->spec.b << "\n";
-  int status = 2;
-  if (opt->substrate == "mpm") status = sesp::run_mpm(*opt);
-  else if (opt->substrate == "smm") status = sesp::run_smm(*opt);
-  else if (opt->substrate == "p2p") status = sesp::run_p2p(*opt);
-  else std::cerr << "unknown substrate\n";
-  return recovery.finish(status);
+  const sesp::RunSpec& run = opt->run;
+  std::cout << "substrate:   " << run.substrate << "\n"
+            << "model:       " << run.model << "\n"
+            << "instance:    s=" << run.spec.s << " n=" << run.spec.n
+            << " b=" << run.spec.b << "\n";
+  return recovery.finish(run.substrate == "p2p" ? sesp::run_p2p(*opt)
+                                                : sesp::run_table1(*opt));
 }

@@ -33,9 +33,12 @@
 #include <thread>
 #include <vector>
 
+#include "cli_flags.hpp"
 #include "obs/json.hpp"
 
 namespace {
+
+using sesp::flag_value;
 
 struct Options {
   std::uint16_t port = 0;
@@ -62,25 +65,22 @@ std::optional<Options> parse(int argc, char** argv) {
     const std::string key = arg.substr(0, eq);
     const std::string value =
         eq == std::string::npos ? "" : arg.substr(eq + 1);
-    try {
-      if (key == "--port")
-        opt.port = static_cast<std::uint16_t>(std::stoi(value));
-      else if (key == "--send") opt.sends.push_back(value);
-      else if (key == "--flood") opt.flood = std::stoll(value);
-      else if (key == "--summary") opt.summary = true;
-      else if (key == "--print-field") opt.print_field = value;
-      else if (key == "--wait-ticket") opt.wait_ticket = value;
-      else if (key == "--report") opt.report = true;
-      else if (key == "--timeout-ms") opt.timeout_ms = std::stoll(value);
-      else if (key == "--help" || key == "-h") {
-        usage(std::cout);
-        std::exit(0);
-      } else {
-        std::cerr << "unknown option: " << key << "\n";
-        return std::nullopt;
-      }
-    } catch (const std::exception&) {
-      std::cerr << "bad value for " << key << "\n";
+    if (key == "--port")
+      opt.port = flag_value<std::uint16_t>(key, value);
+    else if (key == "--send") opt.sends.push_back(value);
+    else if (key == "--flood")
+      opt.flood = flag_value<std::int64_t>(key, value);
+    else if (key == "--summary") opt.summary = true;
+    else if (key == "--print-field") opt.print_field = value;
+    else if (key == "--wait-ticket") opt.wait_ticket = value;
+    else if (key == "--report") opt.report = true;
+    else if (key == "--timeout-ms")
+      opt.timeout_ms = flag_value<std::int64_t>(key, value);
+    else if (key == "--help" || key == "-h") {
+      usage(std::cout);
+      std::exit(0);
+    } else {
+      std::cerr << "unknown option: " << key << "\n";
       return std::nullopt;
     }
   }

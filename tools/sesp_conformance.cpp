@@ -24,6 +24,7 @@
 #include <sstream>
 #include <string>
 
+#include "cli_flags.hpp"
 #include "cli_observation.hpp"
 #include "cli_recovery.hpp"
 #include "conformance/harness.hpp"
@@ -221,11 +222,11 @@ int run(int argc, char** argv) {
     } else if (key == "--deep") {
       opt.config.cases_per_cell = 5000;
     } else if (key == "--cases") {
-      opt.config.cases_per_cell = std::stoll(value);
+      opt.config.cases_per_cell = flag_value<std::int64_t>(key, value);
     } else if (key == "--seed") {
-      opt.config.seed = std::stoull(value);
+      opt.config.seed = flag_value<std::uint64_t>(key, value);
     } else if (key == "--jobs") {
-      opt.config.jobs = std::stoi(value);
+      opt.config.jobs = flag_value<int>(key, value);
     } else if (key == "--minimize") {
       opt.config.minimize = true;
     } else if (key == "--no-minimize") {
@@ -269,11 +270,9 @@ int run(int argc, char** argv) {
   // for; restrict both automatically unless the user narrowed them.
   if (!opt.config.algorithm_override.empty()) {
     const bool smm =
-        conformance::make_smm_factory(opt.config.algorithm_override) !=
-        nullptr;
+        make_smm_factory(opt.config.algorithm_override) != nullptr;
     const bool mpm =
-        conformance::make_mpm_factory(opt.config.algorithm_override) !=
-        nullptr;
+        make_mpm_factory(opt.config.algorithm_override) != nullptr;
     if (!smm && !mpm) {
       std::cerr << "unknown algorithm: " << opt.config.algorithm_override
                 << "\n";

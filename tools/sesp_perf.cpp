@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_flags.hpp"
 #include "obs/perf_history.hpp"
 
 namespace sesp {
@@ -257,25 +258,23 @@ int main(int argc, char** argv) {
     const std::string key = arg.substr(0, eq);
     const std::string value =
         eq == std::string::npos ? "" : arg.substr(eq + 1);
-    try {
-      if (key == "--results") results = value;
-      else if (key == "--history") history = value;
-      else if (key == "--commit") commit = value;
-      else if (key == "--quick") quick = true;
-      else if (key == "--window") opt.window = std::stoi(value);
-      else if (key == "--min-samples") opt.min_samples = std::stoi(value);
-      else if (key == "--min-drop") opt.min_drop = std::stod(value);
-      else if (key == "--mad-mult") opt.mad_mult = std::stod(value);
-      else if (key == "--help" || key == "-h") {
-        sesp::usage(std::cout);
-        return 0;
-      } else {
-        std::cerr << "unknown option: " << key << "\n";
-        sesp::usage(std::cerr);
-        return 2;
-      }
-    } catch (...) {
-      std::cerr << "bad value for " << key << "\n";
+    if (key == "--results") results = value;
+    else if (key == "--history") history = value;
+    else if (key == "--commit") commit = value;
+    else if (key == "--quick") quick = true;
+    else if (key == "--window") opt.window = sesp::flag_value<int>(key, value);
+    else if (key == "--min-samples")
+      opt.min_samples = sesp::flag_value<int>(key, value);
+    else if (key == "--min-drop")
+      opt.min_drop = sesp::flag_value<double>(key, value);
+    else if (key == "--mad-mult")
+      opt.mad_mult = sesp::flag_value<double>(key, value);
+    else if (key == "--help" || key == "-h") {
+      sesp::usage(std::cout);
+      return 0;
+    } else {
+      std::cerr << "unknown option: " << key << "\n";
+      sesp::usage(std::cerr);
       return 2;
     }
   }

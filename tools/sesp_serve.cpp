@@ -23,11 +23,14 @@
 #include <string>
 #include <thread>
 
+#include "cli_flags.hpp"
 #include "cli_observation.hpp"
 #include "recovery/supervisor.hpp"
 #include "serve/server.hpp"
 
 namespace {
+
+using sesp::flag_value;
 
 std::atomic<int> g_signal{0};
 
@@ -68,47 +71,47 @@ std::optional<Options> parse(int argc, char** argv) {
     const std::string key = arg.substr(0, eq);
     const std::string value =
         eq == std::string::npos ? "" : arg.substr(eq + 1);
-    try {
-      if (opt.obs.consume(key, value)) continue;
-      if (key == "--port")
-        opt.server.port = static_cast<std::uint16_t>(std::stoi(value));
-      else if (key == "--journal-dir") opt.server.journal_dir = value;
-      else if (key == "--resume") opt.server.resume = true;
-      else if (key == "--chaos") opt.server.chaos_stop_after = std::stoll(value);
-      else if (key == "--max-connections")
-        opt.server.admission.max_connections = std::stoi(value);
-      else if (key == "--heavy-workers")
-        opt.server.admission.heavy_workers = std::stoi(value);
-      else if (key == "--max-queue")
-        opt.server.admission.max_queue = std::stoi(value);
-      else if (key == "--max-sweep-queue")
-        opt.server.admission.max_sweep_queue = std::stoi(value);
-      else if (key == "--rate")
-        opt.server.admission.rate_per_sec = std::stod(value);
-      else if (key == "--burst")
-        opt.server.admission.burst = std::stod(value);
-      else if (key == "--deadline-ms")
-        opt.server.admission.default_deadline_ms = std::stoll(value);
-      else if (key == "--retry-after-ms")
-        opt.server.admission.retry_after_ms = std::stoll(value);
-      else if (key == "--write-timeout-ms")
-        opt.server.admission.write_timeout_ms = std::stoll(value);
-      else if (key == "--idle-timeout-ms")
-        opt.server.admission.idle_timeout_ms = std::stoll(value);
-      else if (key == "--cache-capacity")
-        opt.server.admission.cache_capacity =
-            static_cast<std::size_t>(std::stoull(value));
-      else if (key == "--test-heavy-delay-ms")
-        opt.server.admission.test_heavy_delay_ms = std::stoll(value);
-      else if (key == "--help" || key == "-h") {
-        usage(std::cout);
-        std::exit(0);
-      } else {
-        std::cerr << "unknown option: " << key << "\n";
-        return std::nullopt;
-      }
-    } catch (const std::exception&) {
-      std::cerr << "bad value for " << key << "\n";
+    if (opt.obs.consume(key, value)) continue;
+    if (key == "--port")
+      opt.server.port = flag_value<std::uint16_t>(key, value);
+    else if (key == "--journal-dir") opt.server.journal_dir = value;
+    else if (key == "--resume") opt.server.resume = true;
+    else if (key == "--chaos")
+      opt.server.chaos_stop_after = flag_value<std::int64_t>(key, value);
+    else if (key == "--max-connections")
+      opt.server.admission.max_connections = flag_value<int>(key, value);
+    else if (key == "--heavy-workers")
+      opt.server.admission.heavy_workers = flag_value<int>(key, value);
+    else if (key == "--max-queue")
+      opt.server.admission.max_queue = flag_value<int>(key, value);
+    else if (key == "--max-sweep-queue")
+      opt.server.admission.max_sweep_queue = flag_value<int>(key, value);
+    else if (key == "--rate")
+      opt.server.admission.rate_per_sec = flag_value<double>(key, value);
+    else if (key == "--burst")
+      opt.server.admission.burst = flag_value<double>(key, value);
+    else if (key == "--deadline-ms")
+      opt.server.admission.default_deadline_ms =
+          flag_value<std::int64_t>(key, value);
+    else if (key == "--retry-after-ms")
+      opt.server.admission.retry_after_ms =
+          flag_value<std::int64_t>(key, value);
+    else if (key == "--write-timeout-ms")
+      opt.server.admission.write_timeout_ms =
+          flag_value<std::int64_t>(key, value);
+    else if (key == "--idle-timeout-ms")
+      opt.server.admission.idle_timeout_ms =
+          flag_value<std::int64_t>(key, value);
+    else if (key == "--cache-capacity")
+      opt.server.admission.cache_capacity = flag_value<std::size_t>(key, value);
+    else if (key == "--test-heavy-delay-ms")
+      opt.server.admission.test_heavy_delay_ms =
+          flag_value<std::int64_t>(key, value);
+    else if (key == "--help" || key == "-h") {
+      usage(std::cout);
+      std::exit(0);
+    } else {
+      std::cerr << "unknown option: " << key << "\n";
       return std::nullopt;
     }
   }

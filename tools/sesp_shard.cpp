@@ -32,6 +32,7 @@
 
 #include <unistd.h>
 
+#include "cli_flags.hpp"
 #include "obs/trace.hpp"
 #include "recovery/supervisor.hpp"
 #include "shard/launch.hpp"
@@ -86,30 +87,27 @@ std::optional<Options> parse(int argc, char** argv) {
     const std::string key = arg.substr(0, eq);
     const std::string value =
         eq == std::string::npos ? "" : arg.substr(eq + 1);
-    try {
-      if (key == "--shard-dir") opt.dir = value;
-      else if (key == "--workers") opt.workers = std::stoi(value);
-      else if (key == "--restarts") opt.restarts = std::stoi(value);
-      else if (key == "--kill-after") opt.kill_after = std::stoll(value);
-      else if (key == "--kill-worker") opt.kill_worker = std::stoi(value);
-      else if (key == "--kill-signal") {
-        if (value == "KILL") opt.kill_signo = SIGKILL;
-        else if (value == "TERM") opt.kill_signo = SIGTERM;
-        else {
-          std::cerr << "unknown --kill-signal (want KILL or TERM)\n";
-          return std::nullopt;
-        }
-      } else if (key == "--no-replay") opt.replay = false;
-      else if (key == "--out") opt.out = value;
-      else if (key == "--help" || key == "-h") {
-        usage(std::cout);
-        std::exit(0);
-      } else {
-        std::cerr << "unknown option: " << key << "\n";
+    if (key == "--shard-dir") opt.dir = value;
+    else if (key == "--workers") opt.workers = flag_value<int>(key, value);
+    else if (key == "--restarts") opt.restarts = flag_value<int>(key, value);
+    else if (key == "--kill-after")
+      opt.kill_after = flag_value<std::int64_t>(key, value);
+    else if (key == "--kill-worker")
+      opt.kill_worker = flag_value<int>(key, value);
+    else if (key == "--kill-signal") {
+      if (value == "KILL") opt.kill_signo = SIGKILL;
+      else if (value == "TERM") opt.kill_signo = SIGTERM;
+      else {
+        std::cerr << "unknown --kill-signal (want KILL or TERM)\n";
         return std::nullopt;
       }
-    } catch (...) {
-      std::cerr << "bad value for " << key << "\n";
+    } else if (key == "--no-replay") opt.replay = false;
+    else if (key == "--out") opt.out = value;
+    else if (key == "--help" || key == "-h") {
+      usage(std::cout);
+      std::exit(0);
+    } else {
+      std::cerr << "unknown option: " << key << "\n";
       return std::nullopt;
     }
   }
