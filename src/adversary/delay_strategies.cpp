@@ -22,13 +22,12 @@ Duration FixedDelay::delay(ProcessId, ProcessId, const Time&, MsgId) {
 
 UniformRandomDelay::UniformRandomDelay(Duration d1, Duration d2,
                                        std::uint64_t seed, std::uint32_t grid)
-    : d1_(d1), d2_(d2), grid_(grid), rng_(seed) {
+    : delay_(d1, d2, grid), rng_(seed) {
   if (d1.is_negative() || d2 < d1) fail("UniformRandomDelay: bad [d1, d2]");
 }
 
 Duration UniformRandomDelay::delay(ProcessId, ProcessId, const Time&, MsgId) {
-  if (d1_ == d2_) return d1_;
-  return rng_.next_ratio(d1_, d2_, grid_);
+  return delay_(rng_);
 }
 
 StragglerDelay::StragglerDelay(ProcessId victim, Duration d_fast,

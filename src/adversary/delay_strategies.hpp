@@ -33,8 +33,7 @@ class UniformRandomDelay final : public DelayStrategy {
                  MsgId id) override;
 
  private:
-  Duration d1_, d2_;
-  std::uint32_t grid_;
+  GridDraw delay_;
   Rng rng_;
 };
 

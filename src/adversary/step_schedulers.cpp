@@ -38,7 +38,7 @@ Time FixedPeriodScheduler::next_step_time(ProcessId p,
 UniformGapScheduler::UniformGapScheduler(Duration lo, Duration hi,
                                          std::uint64_t seed,
                                          std::uint32_t grid)
-    : lo_(lo), hi_(hi), grid_(grid), rng_(seed) {
+    : gap_(lo, hi, grid), rng_(seed) {
   if (!lo.is_positive() || hi < lo) fail("UniformGapScheduler: bad [lo, hi]");
 }
 
@@ -47,7 +47,7 @@ Time UniformGapScheduler::next_step_time(ProcessId p, std::optional<Time> prev,
   (void)p;
   (void)step_index;
   const Time base = prev ? *prev : Time(0);
-  return base + rng_.next_ratio(lo_, hi_, grid_);
+  return base + gap_(rng_);
 }
 
 BurstyScheduler::BurstyScheduler(Duration c1, std::uint32_t stall_num,

@@ -45,8 +45,7 @@ class UniformGapScheduler final : public StepScheduler {
                       std::int64_t step_index) override;
 
  private:
-  Duration lo_, hi_;
-  std::uint32_t grid_;
+  GridDraw gap_;
   Rng rng_;
 };
 

@@ -1,6 +1,7 @@
 #include "smm/knowledge.hpp"
 
 #include <algorithm>
+#include <array>
 #include <sstream>
 
 namespace sesp {
@@ -117,14 +118,34 @@ bool Knowledge::all_done(std::int32_t n, ProcessId except) const {
   return true;
 }
 
+namespace {
+
+constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+
+// kFnvPrimePow[k] = kFnvPrime^k mod 2^64.
+constexpr std::array<std::uint64_t, 9> kFnvPrimePow = [] {
+  std::array<std::uint64_t, 9> pow{};
+  pow[0] = 1;
+  for (std::size_t k = 1; k < pow.size(); ++k)
+    pow[k] = pow[k - 1] * kFnvPrime;
+  return pow;
+}();
+
+}  // namespace
+
 std::uint64_t Knowledge::digest() const {
   if (digest_valid_) return cached_digest_;
   std::uint64_t h = 1469598103934665603ULL;  // FNV offset basis
+  // FNV-1a over the 8 little-endian bytes of v. A zero byte only multiplies
+  // (h ^ 0 == h), so the run of zero high bytes — most of them, for small
+  // ids and counters — folds into one multiply by kFnvPrime^run.
   auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ULL;  // FNV prime
+    int bytes = 0;
+    for (; v != 0; v >>= 8, ++bytes) {
+      h ^= v & 0xff;
+      h *= kFnvPrime;
     }
+    h *= kFnvPrimePow[static_cast<std::size_t>(8 - bytes)];
   };
   for (const Entry& e : facts_) {
     mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(e.process)));

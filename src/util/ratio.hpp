@@ -13,10 +13,11 @@
 // Hot-path layout: most model-time values in practice are integers (den ==
 // 1) or share a denominator (steps on a common period grid), so +, -, * and
 // <=> take inline fast paths for those shapes — an overflow-checked int64
-// op, no gcd, no division — and fall back to the out-of-line slow paths
-// (Knuth 4.5.1 reduced arithmetic on __int128) only when the shapes are
-// mixed or the fast op would overflow. ratio_test cross-checks both paths
-// against a normalize-always reference.
+// op, no gcd, no division — and + and - also for an integer against a
+// fraction. They fall back to the out-of-line slow paths (Knuth 4.5.1
+// reduced arithmetic on __int128) only for two fractions or when the fast
+// op would overflow. ratio_test cross-checks both paths against a
+// normalize-always reference.
 
 #include <compare>
 #include <cstdint>
@@ -55,11 +56,24 @@ class Ratio {
 
   Ratio operator-() const;
 
+  // Integer against fraction: the cross-multiplied a/b ± c = (a ± c*b)/b is
+  // already in lowest terms, since gcd(a ± c*b, b) = gcd(a, b) = 1. That is
+  // the shape of `t + delay` for a fractional delay and of fractional times
+  // checked against integer bounds.
   Ratio& operator+=(const Ratio& rhs) {
+    std::int64_t sum;
     if (den_ == 1 && rhs.den_ == 1) {
-      std::int64_t sum;
       if (!__builtin_add_overflow(num_, rhs.num_, &sum)) {
         num_ = sum;
+        return *this;
+      }
+    } else if (den_ == 1 || rhs.den_ == 1) {
+      std::int64_t lhs_scaled, rhs_scaled;
+      if (!__builtin_mul_overflow(num_, rhs.den_, &lhs_scaled) &&
+          !__builtin_mul_overflow(rhs.num_, den_, &rhs_scaled) &&
+          !__builtin_add_overflow(lhs_scaled, rhs_scaled, &sum)) {
+        num_ = sum;
+        den_ *= rhs.den_;
         return *this;
       }
     }
@@ -67,10 +81,19 @@ class Ratio {
   }
 
   Ratio& operator-=(const Ratio& rhs) {
+    std::int64_t diff;
     if (den_ == 1 && rhs.den_ == 1) {
-      std::int64_t diff;
       if (!__builtin_sub_overflow(num_, rhs.num_, &diff)) {
         num_ = diff;
+        return *this;
+      }
+    } else if (den_ == 1 || rhs.den_ == 1) {
+      std::int64_t lhs_scaled, rhs_scaled;
+      if (!__builtin_mul_overflow(num_, rhs.den_, &lhs_scaled) &&
+          !__builtin_mul_overflow(rhs.num_, den_, &rhs_scaled) &&
+          !__builtin_sub_overflow(lhs_scaled, rhs_scaled, &diff)) {
+        num_ = diff;
+        den_ *= rhs.den_;
         return *this;
       }
     }

@@ -1,5 +1,7 @@
 #include "util/rng.hpp"
 
+#include <stdexcept>
+
 namespace sesp {
 
 namespace {
@@ -62,11 +64,24 @@ bool Rng::next_bool(std::uint32_t p_num, std::uint32_t p_den) noexcept {
   return next_below(p_den) < p_num;
 }
 
-Ratio Rng::next_ratio(const Ratio& lo, const Ratio& hi,
-                      std::uint32_t grid) noexcept {
-  if (!(lo < hi) || grid == 0) return lo;
-  const auto k = static_cast<std::int64_t>(next_below(grid + 1));
-  return lo + (hi - lo) * Ratio(k, static_cast<std::int64_t>(grid));
+std::uint64_t Rng::next_grid_index(std::uint32_t grid) noexcept {
+  return next_below(std::uint64_t{grid} + 1);
+}
+
+GridDraw::GridDraw(const Ratio& lo, const Ratio& hi, std::uint32_t grid)
+    : lo_(lo), hi_(hi), grid_(grid) {
+  if (grid > kMaxGrid) throw std::invalid_argument("GridDraw: grid too large");
+  if (lo < hi && grid > 0) points_.resize(std::size_t{grid} + 1);
+}
+
+Ratio GridDraw::operator()(Rng& rng) {
+  if (points_.empty()) return lo_;
+  const std::uint64_t k = rng.next_grid_index(grid_);
+  std::optional<Ratio>& point = points_[k];
+  if (!point)
+    point = lo_ + (hi_ - lo_) * Ratio(static_cast<std::int64_t>(k),
+                                      static_cast<std::int64_t>(grid_));
+  return *point;
 }
 
 }  // namespace sesp

@@ -6,6 +6,8 @@
 // experiment seeds reproduce byte-identical schedules anywhere.
 
 #include <cstdint>
+#include <optional>
+#include <vector>
 
 #include "util/ratio.hpp"
 
@@ -26,13 +28,36 @@ class Rng {
   // True with probability p_num/p_den.
   bool next_bool(std::uint32_t p_num, std::uint32_t p_den) noexcept;
 
-  // Uniform rational in [lo, hi] on a grid of `grid` equal subintervals
-  // (grid >= 1). Exact arithmetic: result = lo + k*(hi-lo)/grid.
-  Ratio next_ratio(const Ratio& lo, const Ratio& hi,
-                   std::uint32_t grid = 128) noexcept;
+  // Uniform k in the closed range [0, grid]. The bound grid + 1 is formed in
+  // 64 bits, so grid = UINT32_MAX draws from all 2^32 + 1 points.
+  std::uint64_t next_grid_index(std::uint32_t grid) noexcept;
 
  private:
   std::uint64_t s_[4];
+};
+
+// Uniform rational in [lo, hi] on a grid of `grid` equal subintervals:
+// lo + (hi - lo) * Ratio(k, grid) for k = rng.next_grid_index(grid). Each
+// grid point's exact value is computed the first time it is drawn and then
+// cached, so a long run pays the gcds once per point rather than once per
+// draw; values and RNG consumption are those of evaluating the formula every
+// time. When !(lo < hi) or grid == 0 every draw is lo and consumes no
+// randomness (docs/performance.md "Grid draws").
+class GridDraw {
+ public:
+  // Largest grid whose points are cached; larger grids throw
+  // std::invalid_argument.
+  static constexpr std::uint32_t kMaxGrid = 1u << 12;
+
+  GridDraw(const Ratio& lo, const Ratio& hi, std::uint32_t grid);
+
+  Ratio operator()(Rng& rng);
+
+ private:
+  Ratio lo_, hi_;
+  std::uint32_t grid_;
+  // One slot per grid point, empty when the draw is degenerate.
+  std::vector<std::optional<Ratio>> points_;
 };
 
 }  // namespace sesp

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <tuple>
+
+#include "util/rng.hpp"
 
 namespace sesp {
 namespace {
@@ -55,6 +59,58 @@ TEST(KnowledgeTest, DigestChangesWithContent) {
   EXPECT_EQ(a.digest(), b.digest());
   b.record(0, PortInfo{1, 0, true});
   EXPECT_NE(a.digest(), b.digest());
+}
+
+// Plain byte-wise FNV-1a over (process, steps, session, done) per entry in
+// ascending process order, each field as 8 little-endian bytes: the digest
+// definition the golden corpus pins.
+std::uint64_t reference_digest(const std::map<ProcessId, PortInfo>& facts) {
+  std::uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const auto& [p, info] : facts) {
+    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(p)));
+    mix(static_cast<std::uint64_t>(info.steps));
+    mix(static_cast<std::uint64_t>(info.session));
+    mix(info.done ? 1 : 0);
+  }
+  return h;
+}
+
+// A fact value from every byte-length class: zero, small, negative, at or
+// above 2^56 (no zero high byte), and arbitrary 64-bit.
+std::int64_t draw_fact(Rng& rng) {
+  switch (rng.next_below(6)) {
+    case 0: return 0;
+    case 1: return rng.next_int(1, 300);
+    case 2: return -rng.next_int(1, 1'000'000);
+    case 3: return rng.next_int(std::int64_t{1} << 56, INT64_MAX);
+    case 4: return INT64_MIN + rng.next_int(0, 3);
+    default: return static_cast<std::int64_t>(rng.next_u64());
+  }
+}
+
+TEST(KnowledgeTest, DigestMatchesBytewiseFnv) {
+  EXPECT_EQ(Knowledge().digest(), reference_digest({}));
+  Rng rng(0x5e55'd16e57ULL);
+  for (int trial = 0; trial < 300; ++trial) {
+    Knowledge k;
+    std::map<ProcessId, PortInfo> facts;
+    const auto records = rng.next_int(1, 12);
+    for (std::int64_t r = 0; r < records; ++r) {
+      const auto p = static_cast<ProcessId>(rng.next_int(0, 1000));
+      const PortInfo info{draw_fact(rng), draw_fact(rng),
+                          rng.next_bool(1, 2)};
+      k.record(p, info);
+      const auto [it, fresh] = facts.try_emplace(p, info);
+      if (!fresh) it->second = join(it->second, info);
+      ASSERT_EQ(k.digest(), reference_digest(facts)) << k.to_string();
+    }
+  }
 }
 
 // CRDT join-semilattice laws, parameterized over small knowledge values.

@@ -253,6 +253,35 @@ TEST(RatioCrossCheck, IntegerOverflowFallsBackNotWraps) {
   EXPECT_EQ(Ratio(INT64_MIN + 1) - Ratio(1), Ratio(INT64_MIN));
 }
 
+TEST(RatioCrossCheck, MixedShapeEdgesAreExactOrDiagnosed) {
+  // Integer against fraction: a/b ± c = (a ± c*b)/b. When c*b overflows
+  // int64 but the exact result fits, the slow path must still return it;
+  // when the result itself does not fit, the overflow is diagnosed.
+  const std::int64_t big = std::int64_t{1} << 62;
+  const Ratio third(INT64_MAX, 3);  // 2^63 - 1 is not divisible by 3
+  // c*b = 3*2^62 overflows; the sums do not.
+  EXPECT_EQ(Ratio(-big) + third, Ratio(-big - 1, 3));
+  EXPECT_EQ(third + Ratio(-big), Ratio(-big - 1, 3));
+  EXPECT_EQ(Ratio(big) - third, Ratio(big + 1, 3));
+  EXPECT_EQ(third - Ratio(big), Ratio(-big - 1, 3));
+  // c*b fits and the sum lands exactly on the int64 edge.
+  EXPECT_EQ(Ratio(1, 3) + Ratio(INT64_MAX / 3), third);
+  EXPECT_EQ(Ratio(INT64_MAX / 3) + Ratio(1, 3), third);
+  EXPECT_EQ(Ratio(-1, 3) - Ratio(INT64_MAX / 3), -third);
+  EXPECT_EQ(Ratio(-(INT64_MAX / 3)) - Ratio(1, 3), -third);
+  // Not representable: c*b overflows and so does the exact numerator.
+  EXPECT_DEATH({ (void)(Ratio(big) + third); }, "overflow");
+  EXPECT_DEATH({ (void)(third + Ratio(big)); }, "overflow");
+  EXPECT_DEATH({ (void)(Ratio(-big) - third); }, "overflow");
+  EXPECT_DEATH({ (void)(third - Ratio(-big)); }, "overflow");
+  // c*b fits but the sum overflows.
+  const Ratio half(INT64_MAX, 2);
+  EXPECT_DEATH({ (void)(half + Ratio(big / 2)); }, "overflow");
+  EXPECT_DEATH({ (void)(Ratio(big / 2) + half); }, "overflow");
+  EXPECT_DEATH({ (void)(-half - Ratio(big / 2)); }, "overflow");
+  EXPECT_DEATH({ (void)(Ratio(-big / 2) - half); }, "overflow");
+}
+
 TEST(RatioCrossCheck, SameDenominatorAddStaysOnGrid) {
   // Times on a period grid keep their denominator (or reduce): the shape
   // the same-den fast path is for.

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 namespace sesp {
 namespace {
@@ -55,22 +59,37 @@ TEST(RngTest, NextBoolProbabilityRoughlyRight) {
   EXPECT_LT(heads, 3000);
 }
 
-TEST(RngTest, NextRatioStaysInInterval) {
+TEST(RngTest, GridIndexBoundIsFormedIn64Bits) {
+  // grid + 1 in 32 bits would wrap UINT32_MAX to next_below(0), pinning
+  // every draw to index 0; the bound must be 2^32 exactly.
+  Rng a(21), b(21);
+  bool nonzero = false;
+  for (int i = 0; i < 64; ++i) {
+    const std::uint64_t k = a.next_grid_index(UINT32_MAX);
+    EXPECT_EQ(k, b.next_below(std::uint64_t{1} << 32));
+    nonzero = nonzero || k != 0;
+  }
+  EXPECT_TRUE(nonzero);
+}
+
+TEST(GridDrawTest, StaysInInterval) {
   Rng rng(9);
   const Ratio lo(1, 3), hi(5, 2);
+  GridDraw draw(lo, hi, 16);
   for (int i = 0; i < 500; ++i) {
-    const Ratio r = rng.next_ratio(lo, hi, 16);
+    const Ratio r = draw(rng);
     EXPECT_GE(r, lo);
     EXPECT_LE(r, hi);
   }
 }
 
-TEST(RngTest, NextRatioHitsEndpoints) {
+TEST(GridDrawTest, HitsEndpoints) {
   Rng rng(13);
   const Ratio lo(0), hi(1);
+  GridDraw draw(lo, hi, 4);
   bool saw_lo = false, saw_hi = false;
   for (int i = 0; i < 500; ++i) {
-    const Ratio r = rng.next_ratio(lo, hi, 4);
+    const Ratio r = draw(rng);
     saw_lo = saw_lo || r == lo;
     saw_hi = saw_hi || r == hi;
   }
@@ -78,9 +97,50 @@ TEST(RngTest, NextRatioHitsEndpoints) {
   EXPECT_TRUE(saw_hi);
 }
 
-TEST(RngTest, NextRatioDegenerateInterval) {
-  Rng rng(17);
-  EXPECT_EQ(rng.next_ratio(Ratio(2), Ratio(2)), Ratio(2));
+TEST(GridDrawTest, MatchesUncachedFormula) {
+  // The cache must not change a single draw: on the same seed every value
+  // equals lo + (hi - lo) * k/grid evaluated afresh, on every grid the
+  // adversaries use and with negative and fractional endpoints.
+  const std::vector<std::pair<Ratio, Ratio>> windows = {
+      {Ratio(0), Ratio(1)},
+      {Ratio(1, 3), Ratio(5, 2)},
+      {Ratio(-7, 4), Ratio(3, 5)},
+      {Ratio(1, 1000003), Ratio(1, 999979)}};
+  for (const std::uint32_t grid : {1u, 4u, 16u, 64u}) {
+    for (const auto& [lo, hi] : windows) {
+      Rng cached_rng(31 + grid), fresh_rng(31 + grid);
+      GridDraw draw(lo, hi, grid);
+      for (int i = 0; i < 400; ++i) {
+        const auto k = static_cast<std::int64_t>(
+            fresh_rng.next_grid_index(grid));
+        ASSERT_EQ(draw(cached_rng),
+                  lo + (hi - lo) * Ratio(k, static_cast<std::int64_t>(grid)))
+            << "grid " << grid << " [" << lo << ", " << hi << "] draw " << i;
+      }
+      EXPECT_EQ(cached_rng.next_u64(), fresh_rng.next_u64());
+    }
+  }
+}
+
+TEST(GridDrawTest, DegenerateDrawsConsumeNoRandomness) {
+  Rng rng(17), untouched(17);
+  GridDraw point(Ratio(2), Ratio(2), 64);
+  GridDraw no_grid(Ratio(1), Ratio(3), 0);
+  GridDraw inverted(Ratio(3), Ratio(1), 64);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(point(rng), Ratio(2));
+    EXPECT_EQ(no_grid(rng), Ratio(1));
+    EXPECT_EQ(inverted(rng), Ratio(3));
+  }
+  EXPECT_EQ(rng.next_u64(), untouched.next_u64());
+}
+
+TEST(GridDrawTest, RejectsGridsTooLargeToCache) {
+  EXPECT_NO_THROW(GridDraw(Ratio(0), Ratio(1), GridDraw::kMaxGrid));
+  EXPECT_THROW(GridDraw(Ratio(0), Ratio(1), GridDraw::kMaxGrid + 1),
+               std::invalid_argument);
+  EXPECT_THROW(GridDraw(Ratio(0), Ratio(1), UINT32_MAX),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -34,6 +34,36 @@ TEST(UniformGapSchedulerTest, GapsWithinWindow) {
   }
 }
 
+// The adversaries' cached grid draws must reproduce, on the same seed, the
+// uncached formula lo + (hi - lo) * k/grid draw for draw.
+Ratio grid_point(Rng& rng, const Ratio& lo, const Ratio& hi,
+                 std::uint32_t grid) {
+  const auto k = static_cast<std::int64_t>(rng.next_grid_index(grid));
+  return lo + (hi - lo) * Ratio(k, static_cast<std::int64_t>(grid));
+}
+
+TEST(UniformGapSchedulerTest, GapsMatchGridFormula) {
+  const Duration lo(1, 3), hi(7, 2);
+  for (const std::uint32_t grid : {1u, 4u, 16u, 64u}) {
+    UniformGapScheduler sched(lo, hi, /*seed=*/40 + grid, grid);
+    Rng reference(40 + grid);
+    Time prev(0);
+    for (int i = 0; i < 300; ++i) {
+      const Time next = sched.next_step_time(
+          0, i == 0 ? std::nullopt : std::optional<Time>(prev), i);
+      ASSERT_EQ(next - prev, grid_point(reference, lo, hi, grid))
+          << "grid " << grid << " step " << i;
+      prev = next;
+    }
+  }
+}
+
+TEST(UniformGapSchedulerTest, GridZeroAlwaysStepsAtLo) {
+  UniformGapScheduler sched(Duration(2), Duration(5), /*seed=*/3, /*grid=*/0);
+  EXPECT_EQ(sched.next_step_time(0, std::nullopt, 0), Time(2));
+  EXPECT_EQ(sched.next_step_time(0, Time(2), 1), Time(4));
+}
+
 TEST(BurstySchedulerTest, GapsAtLeastC1AndSometimesStall) {
   BurstyScheduler sched(Duration(2), 1, 4, 10, /*seed=*/3);
   Time prev(0);
@@ -85,6 +115,17 @@ TEST(UniformRandomDelayTest, WithinWindow) {
 TEST(UniformRandomDelayTest, DegenerateWindow) {
   UniformRandomDelay d(Duration(3), Duration(3), 1);
   EXPECT_EQ(d.delay(0, 1, Time(0), 0), Duration(3));
+}
+
+TEST(UniformRandomDelayTest, DelaysMatchGridFormula) {
+  const Duration d1(0), d2(9, 4);
+  for (const std::uint32_t grid : {1u, 4u, 16u, 64u}) {
+    UniformRandomDelay d(d1, d2, /*seed=*/70 + grid, grid);
+    Rng reference(70 + grid);
+    for (int i = 0; i < 300; ++i)
+      ASSERT_EQ(d.delay(0, 1, Time(i), i), grid_point(reference, d1, d2, grid))
+          << "grid " << grid << " message " << i;
+  }
 }
 
 TEST(StragglerDelayTest, VictimGetsSlowPath) {
