@@ -76,11 +76,11 @@ if [ "${SESP_SKIP_SERVE_SMOKE:-0}" != "1" ]; then
   scripts/serve_smoke.sh build
 fi
 
-# Bench stage: every bench binary writes a machine-readable perf record
-# (BENCH_<name>.json, schema sesp-bench/2); the verdict comes from the
+# Bench stage: every bench binary writes a machine-readable record
+# (BENCH_<name>.json, schema sesp-bench/3); the verdict comes from the
 # structured ok / solved / admissible / upper_ok fields via sesp_bench_merge,
-# not from grepping the tables. SESP_BENCH_QUICK=1 shrinks the substrate
-# microbenchmark sweeps (CI uses it); the BoundReport benches are unaffected.
+# not from grepping the tables. Speed is measured separately by perfbench
+# (python3 perfbench/run.py, scripts/perf_gate.py).
 rm -f BENCH_*.json bench_results.json
 : > bench_output.txt
 for b in build/bench/*; do
@@ -92,13 +92,3 @@ done
 echo
 echo "Verdicts (from BENCH_*.json):"
 build/tools/sesp_bench_merge --out=bench_results.json BENCH_*.json
-
-# Perf-history stage: fold the merged results into the append-only ledger
-# and gate against the rolling baseline (docs/observability.md "Bench
-# history & regression gate"). The check is a soft warning here — local
-# machines are not comparable to the ledger's baseline hardware.
-commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
-build/tools/sesp_perf record --results=bench_results.json \
-  --history=bench_history.jsonl --commit="$commit"
-build/tools/sesp_perf check --history=bench_history.jsonl \
-  || echo "warning: sesp_perf flagged a perf regression against the ledger"

@@ -53,7 +53,7 @@ class BoundReport {
 
   const std::vector<BoundRow>& rows() const { return rows_; }
 
-  // Mirrors every row into the bench perf record (same cells and flags the
+  // Mirrors every row into the bench record (same cells and flags the
   // rendered table shows — the JSON and the table never disagree).
   void append_rows(obs::BenchRecorder& recorder) const;
 

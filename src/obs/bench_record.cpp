@@ -1,6 +1,5 @@
 #include "obs/bench_record.hpp"
 
-#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -12,12 +11,7 @@
 namespace sesp::obs {
 
 BenchRecorder::BenchRecorder(std::string name)
-    : name_(std::move(name)),
-      observer_(&metrics_, nullptr),
-      start_(std::chrono::steady_clock::now()) {
-  const char* profile_env = std::getenv("SESP_BENCH_PROFILE");
-  if (!profile_env || std::string_view(profile_env) != "0")
-    observer_.profiler = &profiler_;
+    : name_(std::move(name)), observer_(&metrics_, nullptr) {
   previous_default_ = set_default_observer(&observer_);
 }
 
@@ -59,23 +53,12 @@ std::string BenchRecorder::output_path() const {
 }
 
 std::string BenchRecorder::render(bool ok) const {
-  const double wall =
-      std::chrono::duration_cast<std::chrono::duration<double>>(
-          std::chrono::steady_clock::now() - start_)
-          .count();
-  const std::int64_t steps = observer_.steps->value();
-
   std::ostringstream os;
   JsonWriter w(os);
   w.begin_object();
-  w.field("schema", "sesp-bench/2");
+  w.field("schema", "sesp-bench/3");
   w.field("bench", name_);
   w.field("ok", ok);
-  w.field("wall_seconds", wall);
-  w.field("steps", steps);
-  w.field("steps_per_sec",
-          wall > 0.0 ? static_cast<double>(steps) / wall : 0.0);
-  w.field("runs", observer_.runs->value());
   w.key("rows");
   w.begin_array();
   for (const PerfRow& row : rows_) {
@@ -108,8 +91,6 @@ std::string BenchRecorder::render(bool ok) const {
   w.end_object();
   w.key("metrics");
   metrics_.write_json(w);
-  w.key("profile");
-  profiler_.write_json(w);
   w.end_object();
   return os.str();
 }
@@ -178,22 +159,12 @@ bool validate_bench_record(const std::string& text, std::string* error) {
   };
   if (!require("schema", JsonValue::Kind::kString)) return false;
   const std::string& schema = doc->find("schema")->string;
-  if (schema != "sesp-bench/1" && schema != "sesp-bench/2") {
-    if (error) *error = "unknown schema \"" + schema +
-                        "\" (want sesp-bench/1 or sesp-bench/2)";
+  if (schema != "sesp-bench/3") {
+    if (error) *error = "unknown schema \"" + schema + "\" (want sesp-bench/3)";
     return false;
   }
-  // /2 added the per-phase profiler dump; /1 records (older ledgers) have
-  // none and must keep validating.
-  if (schema == "sesp-bench/2" &&
-      !require("profile", JsonValue::Kind::kObject))
-    return false;
   if (!require("bench", JsonValue::Kind::kString)) return false;
   if (!require("ok", JsonValue::Kind::kBool)) return false;
-  if (!require("wall_seconds", JsonValue::Kind::kNumber)) return false;
-  if (!require("steps", JsonValue::Kind::kNumber)) return false;
-  if (!require("steps_per_sec", JsonValue::Kind::kNumber)) return false;
-  if (!require("runs", JsonValue::Kind::kNumber)) return false;
   if (!require("rows", JsonValue::Kind::kArray)) return false;
   if (!require("notes", JsonValue::Kind::kObject)) return false;
   if (!require("metrics", JsonValue::Kind::kObject)) return false;

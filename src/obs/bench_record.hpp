@@ -1,27 +1,22 @@
 #pragma once
 
-// Machine-readable perf records for the bench binaries. Every bench_*
-// constructs a BenchRecorder at the top of main(); it installs a
+// Machine-readable reproduction records for the bench binaries. Every
+// bench_* constructs a BenchRecorder at the top of main(); it installs a
 // process-wide default observer (metrics only — no trace, so thousands of
 // runs cost a handful of counters) and, at finish(), writes
 // `BENCH_<name>.json` next to the ASCII table output:
 //
 //   {
-//     "schema": "sesp-bench/2",
+//     "schema": "sesp-bench/3",
 //     "bench": "table1_sync",
 //     "ok": true,                  // the binary's exit verdict
-//     "wall_seconds": 0.42,
-//     "steps": 1234567,            // sim.steps over the whole bench
-//     "steps_per_sec": 2.9e6,      // the perf-trajectory figure
-//     "runs": 96,
 //     "rows": [ {"cell": ..., "measure": "time"|"rounds",
 //                "lower": "3/2", "measured": "3/2", "upper": "3/2",
 //                "lower_approx": 1.5, ..., "solved": true,
 //                "admissible": true, "upper_ok": true,
 //                "lower_reached": true}, ... ],
 //     "notes": { ... },            // bench-specific scalars
-//     "metrics": { ... },          // full MetricsRegistry dump
-//     "profile": { ... }           // per-phase Profiler dump (/2 only)
+//     "metrics": { ... }           // full MetricsRegistry dump
 //   }
 //
 // The output directory is the working directory unless SESP_BENCH_JSON_DIR
@@ -29,12 +24,10 @@
 // sesp_bench_merge and derive the final verdict from the structured ok /
 // solved / admissible / upper_ok fields instead of grepping stdout.
 //
-// Schema history: sesp-bench/1 had no "profile" section; the validator
-// accepts both (sesp_perf and old ledger entries keep parsing), new records
-// are always written as /2. SESP_BENCH_PROFILE=0 disables the profiler but
-// the (then all-zero) profile section is still emitted.
+// The records carry no timings, so they repeat exactly run to run: speed is
+// measured by perfbench/, whose records are fingerprinted with host, jobs
+// and commit. The validator accepts only sesp-bench/3.
 
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -62,8 +55,8 @@ struct PerfRow {
 
 class BenchRecorder {
  public:
-  // Starts the wall clock and installs this recorder's Observer as the
-  // process default (saving the previous one).
+  // Installs this recorder's Observer as the process default (saving the
+  // previous one).
   explicit BenchRecorder(std::string name);
   // Restores the previous default observer; writes the record if finish()
   // was never called (ok=false — an early exit is a failure).
@@ -74,10 +67,9 @@ class BenchRecorder {
 
   MetricsRegistry& metrics() noexcept { return metrics_; }
   Observer& observer() noexcept { return observer_; }
-  Profiler& profiler() noexcept { return profiler_; }
 
   void add_row(PerfRow row);
-  // Bench-specific scalar facts ("overhead_percent": 1.3, "mode": "quick").
+  // Bench-specific scalar facts, written under "notes" in insertion order.
   void note(const std::string& key, double value);
   void note(const std::string& key, std::int64_t value);
   void note(const std::string& key, const std::string& value);
@@ -95,10 +87,8 @@ class BenchRecorder {
 
   std::string name_;
   MetricsRegistry metrics_;
-  Profiler profiler_;
   Observer observer_;
   Observer* previous_default_ = nullptr;
-  std::chrono::steady_clock::time_point start_;
   std::vector<PerfRow> rows_;
   // Insertion-ordered typed notes, emitted through the one JsonWriter pass
   // in render() — never spliced into the text afterwards.
@@ -141,7 +131,7 @@ BenchAggregate aggregate_bench_records(
     const std::vector<std::pair<std::string, std::string>>& named_texts);
 
 // Schema check used by the aggregator and obs_test: returns true iff `text`
-// parses as a valid sesp-bench/1 or /2 record; fills *error otherwise.
+// parses as a valid sesp-bench/3 record; fills *error otherwise.
 bool validate_bench_record(const std::string& text, std::string* error);
 
 // Three-way classification behind the aggregator: a record whose JSON parse

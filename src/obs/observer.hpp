@@ -8,7 +8,7 @@
 //
 // An Observer bundles a MetricsRegistry (instrument handles are resolved by
 // name once, at construction) and an optional TraceSink. Either half may be
-// null: metrics-only observation (the bench perf records) skips all span
+// null: metrics-only observation (the bench records) skips all span
 // bookkeeping; trace-only observation skips the counters.
 //
 // A process-wide *default* observer (null unless installed) lets the layers

@@ -29,7 +29,7 @@ namespace sesp::obs {
 class JsonWriter;
 
 // Closed set of instrumented phases. Names (profile_phase_name) are the
-// JSON keys in sesp-bench/2 records and sesp-run/1 "profile" sections.
+// JSON keys in sesp-run/1 "profile" sections.
 enum class ProfilePhase : std::uint8_t {
   kEventQueuePop = 0,  // sim.queue_pop    — event-queue pop + depth gauge
   kDeliver,            // sim.deliver      — message delivery (MPM/P2P)

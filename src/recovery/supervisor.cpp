@@ -13,6 +13,7 @@
 #include "obs/observer.hpp"
 #include "recovery/payload.hpp"
 #include "shard/shard.hpp"
+#include "util/ratio.hpp"
 
 namespace sesp::recovery {
 
@@ -178,6 +179,8 @@ std::string Supervisor::run_attempts(
         }
       }
       return payload;
+    } catch (const ArithmeticOverflow&) {
+      throw;  // the instance, not the attempt: see Task isolation
     } catch (const std::exception& e) {
       failure.kind = TaskFailure::Kind::kException;
       failure.detail = e.what();

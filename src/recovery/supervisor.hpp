@@ -18,6 +18,10 @@
 //     deadline is likewise retried. When every attempt fails the slot's
 //     payload becomes an encoded TaskFailure — a structured, SimError-style
 //     outcome the driver folds into its report — never a process abort.
+//     ArithmeticOverflow is not isolated: an instance whose exact times
+//     leave int64 fails identically on every attempt, and folding it would
+//     report the algorithm as failing. It propagates to the tool, which
+//     rejects the instance (sesp_cli exit 2, sesp_serve BadRequest).
 //
 //   * Interrupt draining. install_signal_handlers() routes SIGINT/SIGTERM
 //     into an async-signal-safe stop flag; pending slots are skipped, the

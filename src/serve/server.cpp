@@ -417,7 +417,16 @@ std::string Server::dispatch(const Request& r, obs::Profiler* profiler) {
                        config_.admission.retry_after_ms);
   }
   switch (r.op) {
-    case Op::kBound: return handle_bound(r);
+    case Op::kBound:
+      // Runs on the connection thread, so nothing may escape: closed forms
+      // over coprime denominators near 1e6 leave int64 (ArithmeticOverflow).
+      try {
+        return handle_bound(r);
+      } catch (const std::exception& e) {
+        ++counters_.bad_request;
+        return error_reply(r.id, Status::kBadRequest,
+                           std::string("bound failed: ") + e.what());
+      }
     case Op::kRun:
       return r.run.adversary == "worst" ? submit_exclusive_run(r)
                                         : submit_heavy(r);
@@ -928,9 +937,16 @@ void Server::execute_sweep(const Request& r, std::uint64_t digest) {
   if (draining_.load()) sup.request_stop();
 
   DegradationReport report;
+  std::string failure;
   {
     obs::ProfileScope scope(&local, obs::ProfilePhase::kServeExec);
-    report = plan.degradation();
+    try {
+      report = plan.degradation();
+    } catch (const std::exception& e) {
+      // ArithmeticOverflow passes the supervisor's task isolation: the
+      // instance itself is unusable, so the ticket ends failed.
+      failure = e.what();
+    }
   }
   recovery::Supervisor::install(prev);
   {
@@ -955,6 +971,20 @@ void Server::execute_sweep(const Request& r, std::uint64_t digest) {
     return;
   }
 
+  std::ostringstream os;
+  obs::JsonWriter w(os);
+  w.begin_object();
+  w.field("ticket", util::fnv1a_hex(digest));
+  if (!failure.empty()) {
+    w.field("state", "failed");
+    w.field("error", "sweep failed: " + failure);
+    w.end_object();
+    std::lock_guard<std::mutex> lk(ticket_mu_);
+    Ticket& t = tickets_[digest];
+    t.state = Ticket::State::kDone;
+    t.result_json = os.str();
+    return;
+  }
   // Report text identical (from the algorithm line on) to
   //   sesp_cli --degradation --substrate=... --model=... --seed=...
   std::ostringstream text;
@@ -963,10 +993,6 @@ void Server::execute_sweep(const Request& r, std::uint64_t digest) {
        << report.count(RunOutcome::kSolved) << "/"
        << report.count(RunOutcome::kDegraded) << "/"
        << report.count(RunOutcome::kDiagnosed) << "\n";
-  std::ostringstream os;
-  obs::JsonWriter w(os);
-  w.begin_object();
-  w.field("ticket", util::fnv1a_hex(digest));
   w.field("state", "done");
   w.field("op", "sweep");
   w.field("substrate", r.run.substrate);

@@ -1,7 +1,5 @@
 #include "util/ratio.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <numeric>
 #include <ostream>
 
@@ -9,10 +7,7 @@ namespace sesp {
 
 namespace {
 
-[[noreturn]] void fail(const char* what) {
-  std::fprintf(stderr, "sesp::Ratio fatal: %s\n", what);
-  std::abort();
-}
+[[noreturn]] void fail(const char* what) { throw ArithmeticOverflow(what); }
 
 std::int64_t checked_narrow(__int128 v, const char* what) {
   if (v > INT64_MAX || v < INT64_MIN) fail(what);

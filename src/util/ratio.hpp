@@ -22,9 +22,21 @@
 #include <compare>
 #include <cstdint>
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
 
 namespace sesp {
+
+// Raised when an exact result is not representable: a numerator or
+// denominator past int64 after normalization, a zero denominator, or a
+// division by zero. what() names the operation ("overflow in +"). Inputs
+// from flags or protocol fields can reach it, so tools report it as a
+// failed request (sesp_cli exits 2, sesp_serve replies BadRequest) instead
+// of dying.
+class ArithmeticOverflow : public std::overflow_error {
+ public:
+  using std::overflow_error::overflow_error;
+};
 
 class Ratio {
  public:
@@ -34,9 +46,8 @@ class Ratio {
   // Implicit from integers so call sites can write `t + 3`.
   constexpr Ratio(std::int64_t value) noexcept : num_(value), den_(1) {}
 
-  // num/den, normalized to lowest terms with den > 0. Terminates the process
-  // on den == 0 or overflow (model time never legitimately overflows int64
-  // after normalization; overflow indicates a harness bug).
+  // num/den, normalized to lowest terms with den > 0. Throws
+  // ArithmeticOverflow on den == 0 or overflow.
   Ratio(std::int64_t num, std::int64_t den);
 
   constexpr std::int64_t num() const noexcept { return num_; }
@@ -111,7 +122,7 @@ class Ratio {
     return mul_slow(rhs);
   }
 
-  // Terminates on division by zero.
+  // Throws ArithmeticOverflow on division by zero.
   Ratio& operator/=(const Ratio& rhs);
 
   friend Ratio operator+(Ratio lhs, const Ratio& rhs) { return lhs += rhs; }

@@ -1,6 +1,6 @@
 // Tests for the observability layer: metric instrument semantics, span
 // nesting, JSON/JSONL round-trips through the in-tree parser, the
-// zero-observer no-op contract, bench perf records (BENCH_*.json) and their
+// zero-observer no-op contract, bench records (BENCH_*.json) and their
 // aggregation, and the BoundReport / Summary JSON mirrors of the rendered
 // tables.
 
@@ -22,7 +22,6 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observer.hpp"
-#include "obs/perf_history.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "sim/experiment.hpp"
@@ -725,7 +724,7 @@ TEST_F(BenchRecordTest, FinishWritesValidatedRecord) {
   EXPECT_TRUE(obs::validate_bench_record(buf.str(), &error)) << error;
   const auto v = obs::parse_json(buf.str());
   ASSERT_TRUE(v);
-  EXPECT_EQ(v->find("schema")->string, "sesp-bench/2");
+  EXPECT_EQ(v->find("schema")->string, "sesp-bench/3");
   EXPECT_EQ(v->find("bench")->string, "unit");
   EXPECT_TRUE(v->find("ok")->boolean);
   ASSERT_EQ(v->find("rows")->array.size(), 1u);
@@ -736,12 +735,6 @@ TEST_F(BenchRecordTest, FinishWritesValidatedRecord) {
   EXPECT_EQ(v->find("notes")->find("mode")->string, "test");
   EXPECT_EQ(v->find("notes")->find("reps")->as_int64(), 3);
   ASSERT_TRUE(v->find("metrics"));
-  // /2 always carries the profile section (all-zero counts when the
-  // profiler saw nothing — SESP_BENCH_PROFILE=0 included).
-  const obs::JsonValue* profile = v->find("profile");
-  ASSERT_TRUE(profile);
-  EXPECT_TRUE(profile->is_object());
-  ASSERT_TRUE(profile->find("sim.step"));
 }
 
 TEST_F(BenchRecordTest, FirstFinishWins) {
@@ -802,6 +795,13 @@ TEST_F(BenchRecordTest, ValidateRejectsWrongSchemaAndMissingFields) {
   EXPECT_FALSE(obs::validate_bench_record("{\"schema\":\"other/1\"}", &error));
   EXPECT_FALSE(obs::validate_bench_record("[]", &error));
   EXPECT_FALSE(obs::validate_bench_record("", &error));
+  // Only /3 validates: the timed /1 and /2 shapes are retired.
+  obs::BenchRecorder recorder("old_schema");
+  std::string text = recorder.render(true);
+  recorder.finish(true);
+  ASSERT_TRUE(obs::validate_bench_record(text, &error)) << error;
+  text.replace(text.find("sesp-bench/3"), 12, "sesp-bench/2");
+  EXPECT_FALSE(obs::validate_bench_record(text, &error));
 }
 
 // A record torn by a killed writer is every proper prefix of a valid one;
@@ -938,151 +938,6 @@ TEST_F(BenchRecordTest, MarkerLookalikeValuesCannotCorruptTheRecord) {
   ASSERT_EQ(notes->object.size(), 3u);
   EXPECT_EQ(notes->object[0].first, "payload");
   EXPECT_EQ(notes->object[2].first, "ratio");
-}
-
-// --- bench history / regression gate ---------------------------------------
-
-TEST_F(BenchRecordTest, PerfEntriesFoldFromMergedResults) {
-  obs::BenchRecorder rec("perf_fold");
-  rec.add_row(sample_row(true));
-  rec.profiler().record(obs::ProfilePhase::kProcessStep, 1234);
-  const obs::BenchAggregate agg =
-      obs::aggregate_bench_records({{"perf_fold.json", rec.render(true)}});
-  rec.finish(true);
-
-  std::vector<obs::PerfEntry> entries;
-  std::string error;
-  ASSERT_TRUE(obs::entries_from_results(agg.results_json, "abc1234", 1000,
-                                        false, &entries, &error))
-      << error;
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].bench, "perf_fold");
-  EXPECT_EQ(entries[0].commit, "abc1234");
-  EXPECT_TRUE(entries[0].ok);
-  ASSERT_EQ(entries[0].profile.size(), 1u);
-  EXPECT_EQ(entries[0].profile[0].name, "sim.step");
-  EXPECT_EQ(entries[0].profile[0].count, 1);
-  EXPECT_EQ(entries[0].profile[0].total_ns, 1234);
-
-  // Ledger line round-trips.
-  const std::string line = obs::render_perf_entry(entries[0]);
-  obs::PerfEntry parsed;
-  ASSERT_TRUE(obs::parse_perf_entry(line, &parsed, &error)) << error;
-  EXPECT_EQ(parsed.bench, entries[0].bench);
-  EXPECT_EQ(parsed.steps_per_sec, entries[0].steps_per_sec);
-  ASSERT_EQ(parsed.profile.size(), 1u);
-  EXPECT_EQ(parsed.profile[0].total_ns, 1234);
-
-  // And a ledger text with a torn last line loads the intact entries.
-  std::int64_t skipped = 0;
-  const std::vector<obs::PerfEntry> loaded = obs::parse_perf_ledger(
-      line + "\n" + line.substr(0, line.size() / 2), &skipped);
-  EXPECT_EQ(loaded.size(), 1u);
-  EXPECT_EQ(skipped, 1);
-}
-
-TEST(PerfHistoryTest, GateFlagsSlowdownAndToleratesNoise) {
-  const auto entry = [](const char* bench, double rate, bool ok = true) {
-    obs::PerfEntry e;
-    e.bench = bench;
-    e.ok = ok;
-    e.steps_per_sec = rate;
-    return e;
-  };
-  obs::PerfCheckOptions opt;
-
-  // Steady series, steady tail: pass.
-  std::vector<obs::PerfEntry> entries;
-  for (const double r : {1.00e6, 1.03e6, 0.98e6, 1.01e6, 1.00e6})
-    entries.push_back(entry("a", r));
-  auto checks = obs::check_history(entries, opt);
-  ASSERT_EQ(checks.size(), 1u);
-  EXPECT_FALSE(checks[0].regression);
-  EXPECT_EQ(checks[0].samples, 4);
-
-  // Injected 2x slowdown: flagged.
-  entries.push_back(entry("a", 0.5e6));
-  checks = obs::check_history(entries, opt);
-  ASSERT_EQ(checks.size(), 1u);
-  EXPECT_TRUE(checks[0].regression);
-
-  // A failing (ok=false) entry is excluded from baselines but flags
-  // itself when newest.
-  entries.push_back(entry("a", 1.0e6, /*ok=*/false));
-  checks = obs::check_history(entries, opt);
-  ASSERT_EQ(checks.size(), 1u);
-  EXPECT_TRUE(checks[0].regression);
-
-  // Too-short series never gates.
-  std::vector<obs::PerfEntry> young{entry("b", 1.0e6), entry("b", 0.1e6)};
-  checks = obs::check_history(young, opt);
-  ASSERT_EQ(checks.size(), 1u);
-  EXPECT_FALSE(checks[0].regression);
-  EXPECT_EQ(checks[0].samples, 1);
-
-  // Quick and full runs form separate series.
-  std::vector<obs::PerfEntry> mixed;
-  for (int i = 0; i < 4; ++i) mixed.push_back(entry("c", 1.0e6));
-  obs::PerfEntry quick = entry("c", 0.2e6);  // slow, but its own series
-  quick.quick = true;
-  mixed.push_back(quick);
-  checks = obs::check_history(mixed, opt);
-  ASSERT_EQ(checks.size(), 2u);
-  EXPECT_FALSE(checks[0].regression);
-  EXPECT_FALSE(checks[1].regression);  // 0 quick priors — pass, but loudly
-}
-
-TEST(PerfHistoryTest, QuickFlagFlipReportsNoBaseline) {
-  const auto entry = [](const char* bench, double rate, bool quick) {
-    obs::PerfEntry e;
-    e.bench = bench;
-    e.ok = true;
-    e.quick = quick;
-    e.steps_per_sec = rate;
-    return e;
-  };
-  obs::PerfCheckOptions opt;
-
-  // Full-mode history, then a single quick-mode candidate: its series has
-  // no priors at all, and the verdict must say "no baseline" by name — a
-  // flipped recording mode must not read like a healthy gated pass.
-  std::vector<obs::PerfEntry> flipped;
-  for (const double r : {1.00e6, 1.01e6, 0.99e6, 1.00e6})
-    flipped.push_back(entry("faults", r, /*quick=*/false));
-  flipped.push_back(entry("faults", 0.3e6, /*quick=*/true));
-  auto checks = obs::check_history(flipped, opt);
-  ASSERT_EQ(checks.size(), 2u);
-  EXPECT_FALSE(checks[1].regression);
-  EXPECT_TRUE(checks[1].quick);
-  EXPECT_EQ(checks[1].samples, 0);
-  EXPECT_NE(checks[1].note.find("no baseline"), std::string::npos)
-      << checks[1].note;
-  EXPECT_NE(checks[1].note.find("quick=false"), std::string::npos)
-      << checks[1].note;
-
-  // The reverse flip (quick history, full candidate) names the other
-  // flavor too.
-  std::vector<obs::PerfEntry> reverse;
-  for (const double r : {1.00e6, 1.01e6})
-    reverse.push_back(entry("faults", r, /*quick=*/true));
-  reverse.push_back(entry("faults", 1.0e6, /*quick=*/false));
-  checks = obs::check_history(reverse, opt);
-  ASSERT_EQ(checks.size(), 2u);
-  const obs::PerfCheck& full = checks[1];
-  EXPECT_FALSE(full.quick);
-  EXPECT_NE(full.note.find("no baseline"), std::string::npos) << full.note;
-  EXPECT_NE(full.note.find("quick=true"), std::string::npos) << full.note;
-
-  // A genuinely young series (same flavor throughout) keeps the plain
-  // short-series note — "no baseline" is reserved for the flag flip.
-  std::vector<obs::PerfEntry> young{entry("young", 1.0e6, false),
-                                    entry("young", 0.9e6, false)};
-  checks = obs::check_history(young, opt);
-  ASSERT_EQ(checks.size(), 1u);
-  EXPECT_EQ(checks[0].note.find("no baseline"), std::string::npos)
-      << checks[0].note;
-  EXPECT_NE(checks[0].note.find("prior sample"), std::string::npos)
-      << checks[0].note;
 }
 
 // --- report / summary JSON mirrors -----------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -11,6 +12,21 @@
 
 namespace sesp {
 namespace {
+
+// EXPECT_THROW for ArithmeticOverflow that also checks what() names the
+// failed operation.
+#define EXPECT_OVERFLOW(statement, text)                                   \
+  EXPECT_THROW(                                                             \
+      {                                                                     \
+        try {                                                               \
+          statement;                                                        \
+        } catch (const ArithmeticOverflow& e) {                             \
+          EXPECT_NE(std::string(e.what()).find(text), std::string::npos)    \
+              << e.what();                                                  \
+          throw;                                                            \
+        }                                                                   \
+      },                                                                    \
+      ArithmeticOverflow)
 
 TEST(RatioTest, DefaultIsZero) {
   Ratio r;
@@ -242,7 +258,7 @@ TEST(RatioCrossCheck, EndpointValuesCompareExactly) {
 TEST(RatioCrossCheck, IntegerOverflowFallsBackNotWraps) {
   // den==1 + den==1 whose sum exceeds int64: the inline path must hand off
   // to the slow path, which diagnoses the overflow instead of wrapping.
-  EXPECT_DEATH(
+  EXPECT_OVERFLOW(
       {
         Ratio r = Ratio(INT64_MAX) + Ratio(1);
         (void)r;
@@ -270,16 +286,16 @@ TEST(RatioCrossCheck, MixedShapeEdgesAreExactOrDiagnosed) {
   EXPECT_EQ(Ratio(-1, 3) - Ratio(INT64_MAX / 3), -third);
   EXPECT_EQ(Ratio(-(INT64_MAX / 3)) - Ratio(1, 3), -third);
   // Not representable: c*b overflows and so does the exact numerator.
-  EXPECT_DEATH({ (void)(Ratio(big) + third); }, "overflow");
-  EXPECT_DEATH({ (void)(third + Ratio(big)); }, "overflow");
-  EXPECT_DEATH({ (void)(Ratio(-big) - third); }, "overflow");
-  EXPECT_DEATH({ (void)(third - Ratio(-big)); }, "overflow");
+  EXPECT_OVERFLOW({ (void)(Ratio(big) + third); }, "overflow");
+  EXPECT_OVERFLOW({ (void)(third + Ratio(big)); }, "overflow");
+  EXPECT_OVERFLOW({ (void)(Ratio(-big) - third); }, "overflow");
+  EXPECT_OVERFLOW({ (void)(third - Ratio(-big)); }, "overflow");
   // c*b fits but the sum overflows.
   const Ratio half(INT64_MAX, 2);
-  EXPECT_DEATH({ (void)(half + Ratio(big / 2)); }, "overflow");
-  EXPECT_DEATH({ (void)(Ratio(big / 2) + half); }, "overflow");
-  EXPECT_DEATH({ (void)(-half - Ratio(big / 2)); }, "overflow");
-  EXPECT_DEATH({ (void)(Ratio(-big / 2) - half); }, "overflow");
+  EXPECT_OVERFLOW({ (void)(half + Ratio(big / 2)); }, "overflow");
+  EXPECT_OVERFLOW({ (void)(Ratio(big / 2) + half); }, "overflow");
+  EXPECT_OVERFLOW({ (void)(-half - Ratio(big / 2)); }, "overflow");
+  EXPECT_OVERFLOW({ (void)(Ratio(-big / 2) - half); }, "overflow");
 }
 
 TEST(RatioCrossCheck, SameDenominatorAddStaysOnGrid) {
@@ -293,14 +309,14 @@ TEST(RatioCrossCheck, SameDenominatorAddStaysOnGrid) {
   EXPECT_EQ(Ratio(-5, 12) - Ratio(7, 12), Ratio(-1));
 }
 
-// Misuse is a hard failure, never silent wraparound: model time must stay
+// Misuse is a typed error, never silent wraparound: model time must stay
 // exact or the admissibility checker means nothing.
-TEST(RatioDeath, ZeroDenominatorAborts) {
-  EXPECT_DEATH({ Ratio bad(1, 0); (void)bad; }, "zero denominator");
+TEST(RatioError, ZeroDenominatorThrows) {
+  EXPECT_OVERFLOW({ Ratio bad(1, 0); (void)bad; }, "zero denominator");
 }
 
-TEST(RatioDeath, DivisionByZeroAborts) {
-  EXPECT_DEATH(
+TEST(RatioError, DivisionByZeroThrows) {
+  EXPECT_OVERFLOW(
       {
         Ratio r = Ratio(1) / Ratio(0);
         (void)r;
@@ -308,8 +324,8 @@ TEST(RatioDeath, DivisionByZeroAborts) {
       "division by zero");
 }
 
-TEST(RatioDeath, OverflowAborts) {
-  EXPECT_DEATH(
+TEST(RatioError, OverflowThrows) {
+  EXPECT_OVERFLOW(
       {
         Ratio big(INT64_MAX, 1);
         Ratio r = big * big;

@@ -456,6 +456,7 @@ TEST(ServerTest, BoundRepliesAreByteIdenticalAndCached) {
   server.stop();
   EXPECT_GE(server.cache_stats().hits, 2);
   EXPECT_EQ(server.counters().ok.load(), 3);
+  EXPECT_EQ(server.counters().bad_request.load(), 0);
   EXPECT_FALSE(server.interrupted());
 }
 
@@ -642,6 +643,9 @@ TEST(ServerTest, IdenticalConcurrentRunsCoalesce) {
   ASSERT_FALSE(replies[0].empty());
   EXPECT_EQ(replies[0], replies[1]);
   EXPECT_EQ(replies[0], replies[2]);
+  const auto doc = obs::parse_json(replies[0]);
+  ASSERT_TRUE(doc);
+  EXPECT_EQ(reply_status(*doc), "Ok");
   server.stop();
   EXPECT_GE(server.counters().coalesced.load(), 1);
 }
@@ -740,6 +744,7 @@ TEST(ServerTest, SweepTicketLifecycleAndJournaledReport) {
 
   server.stop();
   EXPECT_EQ(server.counters().sweeps_completed.load(), 1);
+  EXPECT_EQ(server.counters().bad_request.load(), 0);
   EXPECT_FALSE(server.interrupted());
   fs::remove_all(dir);
 }
@@ -816,6 +821,57 @@ TEST(ServerTest, ChaosInterruptThenResumeIsByteIdentical) {
     EXPECT_EQ(server.counters().sweeps_completed.load(), 1);
     EXPECT_FALSE(server.interrupted());
   }
+  fs::remove_all(dir);
+}
+
+// Instances whose exact times leave int64 (coprime denominators near 1e6,
+// sesp_cli exits 2 on the same flags) get a BadRequest for bound, run and
+// worst, and a failed sweep ticket; the connection keeps serving.
+TEST(ServerTest, UnrepresentableInstanceIsBadRequestAndServerSurvives) {
+  const fs::path dir = fresh_dir("sesp-serve-overflow");
+  ServerConfig config;
+  config.journal_dir = dir.string();
+  Server server(config);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+
+  const std::string instance =
+      R"("model":"sporadic","s":3,"n":3,"c1":"1/1000003","d1":"1/999983","d2":"1/999979"})";
+  for (const std::string request :
+       {R"({"id":1,"op":"bound","side":"mp",)" + instance,
+        R"({"id":2,"op":"run","adversary":"random",)" + instance,
+        R"({"id":3,"op":"run","adversary":"worst",)" + instance}) {
+    const auto doc = client.call(request, 30'000);
+    ASSERT_TRUE(doc) << request;
+    EXPECT_EQ(reply_status(*doc), "BadRequest") << request;
+    EXPECT_NE(doc->find("error")->string.find("overflow"), std::string::npos)
+        << request;
+  }
+  // A degradation sweep over periodic timing near 2^31 overflows inside
+  // the supervised slots.
+  const auto submitted = client.call(
+      R"({"id":4,"op":"sweep","substrate":"mpm","model":"periodic","s":3,"n":3,"c1":"1/2147483647","c2":"1/2147483629","d2":"1/2147483579"})");
+  ASSERT_TRUE(submitted);
+  ASSERT_EQ(reply_status(*submitted), "Ok");
+  const std::string ticket =
+      submitted->find("result")->find("ticket")->string;
+  std::string state;
+  for (int i = 0; i < 600 && state != "failed" && state != "done"; ++i) {
+    std::this_thread::sleep_for(milliseconds(50));
+    const auto poll = client.call(
+        R"({"id":5,"op":"poll","ticket":")" + ticket + R"("})");
+    ASSERT_TRUE(poll);
+    state = poll->find("result")->find("state")->string;
+  }
+  EXPECT_EQ(state, "failed");
+
+  const auto health = client.call(R"({"id":6,"op":"health"})");
+  ASSERT_TRUE(health);
+  EXPECT_EQ(reply_status(*health), "Ok");
+  server.stop();
+  EXPECT_EQ(server.counters().bad_request.load(), 3);
   fs::remove_all(dir);
 }
 

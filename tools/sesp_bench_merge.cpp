@@ -1,11 +1,11 @@
-// sesp_bench_merge — aggregate the BENCH_*.json perf records the bench
+// sesp_bench_merge — aggregate the BENCH_*.json records the bench
 // binaries write into one bench_results.json and derive the reproduction
 // verdict from the structured ok / solved / admissible / upper_ok fields
 // (instead of grepping bench stdout for [OK] / [FAIL]).
 //
 //   sesp_bench_merge --out=bench_results.json BENCH_table1_sync.json ...
 //
-// Exit status: 0 when every record parses, validates against sesp-bench/1
+// Exit status: 0 when every record parses, validates against sesp-bench/3
 // and reports ok=true; 1 when any record fails or is malformed (mid-text
 // corruption or a wrong schema — a real bug, never produced by a clean
 // kill); 2 when no record files were given or one cannot be read; 3 when

@@ -485,7 +485,7 @@ int run_p2p(const Options& opt) {
 }  // namespace
 }  // namespace sesp
 
-int main(int argc, char** argv) {
+static int cli_main(int argc, char** argv) {
   const auto opt = sesp::parse(argc, argv);
   if (!opt) {
     sesp::usage(std::cerr);
@@ -519,4 +519,17 @@ int main(int argc, char** argv) {
             << " b=" << run.spec.b << "\n";
   return recovery.finish(run.substrate == "p2p" ? sesp::run_p2p(*opt)
                                                 : sesp::run_table1(*opt));
+}
+
+// Exact arithmetic that leaves int64 (e.g. coprime denominators near 1e6)
+// is a property of the requested instance, not a crash: report it and exit
+// 2 like any other unusable input.
+int main(int argc, char** argv) {
+  try {
+    return cli_main(argc, argv);
+  } catch (const sesp::ArithmeticOverflow& e) {
+    std::cerr << "sesp_cli: instance not representable in exact arithmetic ("
+              << e.what() << ")\n";
+    return 2;
+  }
 }
