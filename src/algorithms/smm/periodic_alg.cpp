@@ -39,8 +39,13 @@ class PeriodicSmm final : public SmmPortAlgorithm {
   }
 
   void on_tree_snapshot(const Knowledge& snapshot) override {
-    know_.merge(snapshot);
-    if (know_.all_done(n_, self_)) heard_all_ = true;
+    // A snapshot with the stamp of the last one merged has the same
+    // contents, which know_ already holds: skip the merge and the check.
+    if (snapshot.stamp() != merged_stamp_) {
+      merged_stamp_ = snapshot.stamp();
+      know_.merge(snapshot);
+      if (know_.all_done(n_, self_)) heard_all_ = true;
+    }
     next_is_tree_ = false;
   }
 
@@ -55,6 +60,7 @@ class PeriodicSmm final : public SmmPortAlgorithm {
   bool heard_all_ = false;  // every other process known done
   bool next_is_tree_ = true;
   Knowledge know_;
+  std::uint64_t merged_stamp_ = Knowledge::kNoStamp;
   bool idle_ = false;
 };
 

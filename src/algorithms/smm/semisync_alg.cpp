@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "smm/shared_memory.hpp"
 #include "smm/tree_network.hpp"
 
 namespace sesp {
@@ -55,6 +54,14 @@ class RoundBasedSmm final : public SmmPortAlgorithm {
   }
 
   void on_tree_snapshot(const Knowledge& snapshot) override {
+    // A snapshot with the stamp of the last one merged has the same
+    // contents, which know_ already holds; in the same round the check
+    // below would decide as it did then. Skip both.
+    if (snapshot.stamp() == merged_stamp_ &&
+        completed_rounds_ == checked_round_)
+      return;
+    merged_stamp_ = snapshot.stamp();
+    checked_round_ = completed_rounds_;
     know_.merge(snapshot);
     if (completed_rounds_ < s_ &&
         know_.all_have_session(n_, completed_rounds_, self_))
@@ -70,6 +77,8 @@ class RoundBasedSmm final : public SmmPortAlgorithm {
   std::int64_t completed_rounds_ = 0;
   bool pending_port_ = true;  // round 1 needs no waiting
   Knowledge know_;
+  std::uint64_t merged_stamp_ = Knowledge::kNoStamp;
+  std::int64_t checked_round_ = -1;
   bool idle_ = false;
 };
 
@@ -87,9 +96,7 @@ std::unique_ptr<SmmPortAlgorithm> make_round_based_smm(ProcessId self,
 }
 
 std::int64_t smm_tree_latency_steps(std::int32_t n, std::int32_t b) {
-  SharedMemory scratch(std::max(b, 2));
-  TreeNetwork tree(n, std::max(b, 2), scratch, n);
-  return tree.latency_steps_bound();
+  return TreeNetwork::shape(n, std::max(b, 2)).latency_steps_bound();
 }
 
 SmmSemiSyncStrategy SemiSyncSmmFactory::pick(

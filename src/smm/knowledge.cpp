@@ -45,9 +45,7 @@ void Knowledge::merge(const Knowledge& other) {
   if (other.facts_.empty()) return;
   if (facts_.empty()) {
     facts_ = other.facts_;
-    stamp_ = other.stamp_;  // content adopted wholesale: share the stamp
-    cached_digest_ = other.cached_digest_;
-    digest_valid_ = other.digest_valid_;
+    adopt_stamp(other);  // content adopted wholesale: share the stamp
     return;
   }
   // Two-pointer join of sorted runs, in place: common ids are joined
@@ -79,6 +77,46 @@ void Knowledge::merge(const Knowledge& other) {
                      [](const Entry& a, const Entry& b) {
                        return a.process < b.process;
                      });
+}
+
+void Knowledge::exchange(Knowledge& a, Knowledge& b) {
+  const bool same_ids =
+      !a.facts_.empty() &&
+      std::equal(a.facts_.begin(), a.facts_.end(), b.facts_.begin(),
+                 b.facts_.end(), [](const Entry& x, const Entry& y) {
+                   return x.process == y.process;
+                 });
+  if (!same_ids) {
+    a.merge(b);
+    b.merge(a);
+    return;
+  }
+  bool a_changed = false;
+  bool b_changed = false;
+  for (std::size_t i = 0; i < a.facts_.size(); ++i) {
+    PortInfo& x = a.facts_[i].info;
+    PortInfo& y = b.facts_[i].info;
+    const PortInfo joined = join(x, y);
+    if (joined != x) {
+      x = joined;
+      a_changed = true;
+    }
+    if (joined != y) {
+      y = joined;
+      b_changed = true;
+    }
+  }
+  // Both now hold the join. A side that did not change already held it, so
+  // the other takes its stamp and digest, as merge() does when it adopts a
+  // whole value; when both changed they share one fresh stamp.
+  if (a_changed && b_changed) {
+    a.touch();
+    b.adopt_stamp(a);
+  } else if (a_changed) {
+    a.adopt_stamp(b);
+  } else if (b_changed) {
+    b.adopt_stamp(a);
+  }
 }
 
 bool Knowledge::all_have_steps(std::int32_t n, std::int64_t threshold,
@@ -138,14 +176,18 @@ std::uint64_t Knowledge::digest() const {
   std::uint64_t h = 1469598103934665603ULL;  // FNV offset basis
   // FNV-1a over the 8 little-endian bytes of v. A zero byte only multiplies
   // (h ^ 0 == h), so the run of zero high bytes — most of them, for small
-  // ids and counters — folds into one multiply by kFnvPrime^run.
+  // ids and counters — folds into one multiply by kFnvPrime^run, and so does
+  // the multiply of the top nonzero byte before it: a field below 0x100
+  // costs one xor and one multiply. (v == 0 takes the same path: its one
+  // "top byte" is zero and the multiply is kFnvPrime^8.)
   auto mix = [&h](std::uint64_t v) {
-    int bytes = 0;
-    for (; v != 0; v >>= 8, ++bytes) {
+    std::size_t bytes = 1;
+    for (; v > 0xff; v >>= 8, ++bytes) {
       h ^= v & 0xff;
       h *= kFnvPrime;
     }
-    h *= kFnvPrimePow[static_cast<std::size_t>(8 - bytes)];
+    h ^= v;
+    h *= kFnvPrimePow[9 - bytes];
   };
   for (const Entry& e : facts_) {
     mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(e.process)));

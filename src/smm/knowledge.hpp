@@ -54,6 +54,11 @@ class Knowledge {
   // Joins every fact of `other` into this value.
   void merge(const Knowledge& other);
 
+  // a.merge(b); b.merge(a): leaves both holding the join of the two. When
+  // both hold the same ids (the relay gossip's steady state) the join is one
+  // pass over the pair; otherwise it is the two merges.
+  static void exchange(Knowledge& a, Knowledge& b);
+
   // True iff a fact with steps >= threshold is recorded for every process in
   // [0, n) except `except` (pass kNetworkProcess for "no exception").
   bool all_have_steps(std::int32_t n, std::int64_t threshold,
@@ -75,8 +80,11 @@ class Knowledge {
   // value. A caller that remembers the stamps of two values after joining
   // them can prove a later join of the same (unchanged) pair is a no-op
   // and skip it — the SMM relay gossip loop does this once its subtree
-  // saturates (docs/performance.md "Verifier hot path").
+  // saturates, and the port algorithms for an uplink snapshot they have
+  // already merged (docs/performance.md "Incremental SMM knowledge").
   std::uint64_t stamp() const noexcept { return stamp_; }
+  // A stamp no value carries, for "nothing remembered yet".
+  static constexpr std::uint64_t kNoStamp = ~std::uint64_t{0};
 
   std::string to_string() const;
 
@@ -102,6 +110,13 @@ class Knowledge {
   void touch() noexcept {
     stamp_ = next_stamp();
     digest_valid_ = false;
+  }
+  // Takes the stamp and digest cache of `other`, whose contents this value
+  // now equals.
+  void adopt_stamp(const Knowledge& other) noexcept {
+    stamp_ = other.stamp_;
+    cached_digest_ = other.cached_digest_;
+    digest_valid_ = other.digest_valid_;
   }
 
   // Sorted by process id, unique. Sortedness makes default equality

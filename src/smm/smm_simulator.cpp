@@ -8,9 +8,7 @@
 namespace sesp {
 
 std::int32_t smm_total_processes(std::int32_t n, std::int32_t b) {
-  SharedMemory scratch(std::max(b, 2));
-  TreeNetwork tree(n, std::max(b, 2), scratch, n);
-  return n + tree.num_relays();
+  return n + TreeNetwork::shape(n, std::max(b, 2)).num_relays;
 }
 
 SmmSimulator::SmmSimulator(const ProblemSpec& spec,
@@ -92,14 +90,12 @@ SmmRunResult SmmSimulator::run(const RunLimits& limits) {
   // the last gossip exchange there. Matching stamps prove the exchange
   // would join two unchanged values again — a no-op — and skip it; once a
   // livelocked run saturates its subtree's knowledge, every relay visit
-  // takes this skip (Knowledge::stamp()). 0 is a real stamp (the empty
-  // value), so the sentinel is max.
-  constexpr std::uint64_t kNoStamp = ~std::uint64_t{0};
+  // takes this skip (Knowledge::stamp()).
   std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>>
       relay_memo(static_cast<std::size_t>(tree.num_relays()));
   for (std::size_t r = 0; r < relay_memo.size(); ++r)
     relay_memo[r].assign(tree.relays()[r].rotation.size(),
-                         {kNoStamp, kNoStamp});
+                         {Knowledge::kNoStamp, Knowledge::kNoStamp});
 
   obs::Observer* const o = k.observer();
   obs::Counter* const c_shared_reads = o ? o->shared_reads : nullptr;
@@ -165,8 +161,7 @@ SmmRunResult SmmSimulator::run(const RunLimits& limits) {
       auto& memo = relay_memo[r][slot];
       if (memo.first != value.stamp() ||
           memo.second != relay_knowledge[r].stamp()) {
-        value.merge(relay_knowledge[r]);
-        relay_knowledge[r].merge(value);
+        Knowledge::exchange(value, relay_knowledge[r]);
         memo = {value.stamp(), relay_knowledge[r].stamp()};
       }
       st.value_after_digest = value.digest();

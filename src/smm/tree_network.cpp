@@ -14,78 +14,100 @@ namespace {
   std::abort();
 }
 
-// An endpoint of the level currently being grouped under new parents: either
-// a leaf (port process) or an already-built relay that still needs a parent.
-struct Endpoint {
-  ProcessId pid;
-  std::int32_t relay_index;  // -1 for leaves
+// One level of the construction. Node k < n is leaf k and node n + r is
+// relay r. The leaves are one run of nodes; every later level is the run of
+// relays just built, in order, then at most one endpoint promoted from the
+// level below. So a level is a node range plus an optional tail, and the
+// construction loop needs no storage of its own.
+struct Level {
+  std::int32_t first;      // first node of the run
+  std::int32_t count;      // nodes in the run
+  std::int32_t tail = -1;  // promoted node after the run, or -1
+
+  std::int32_t size() const { return count + (tail >= 0 ? 1 : 0); }
+  std::int32_t node(std::int32_t i) const {
+    return i < count ? first + i : tail;
+  }
 };
 
-}  // namespace
-
-TreeNetwork::TreeNetwork(std::int32_t n, std::int32_t b, SharedMemory& mem,
-                         ProcessId first_relay_pid)
-    : n_(n), uplinks_(static_cast<std::size_t>(std::max(n, 0)), kNoVar) {
+// The construction loop, shared by the constructor and shape(): groups each
+// level under new relays until one node is left. For every variable, in
+// creation order, calls on_var(depth, relay, offset, level, first, last):
+// the variable joins relay `relay` and the nodes level.node(first..last-1),
+// which start `offset` places into that relay's children.
+template <typename OnVar>
+TreeShape build(std::int32_t n, std::int32_t b, OnVar&& on_var) {
   if (n < 1) fail("need at least one leaf");
-  if (n == 1) return;  // a single port process needs no communication
+  TreeShape shape;
+  if (n == 1) return shape;  // a single port process needs no communication
   if (b < 2) fail("communication requires b >= 2");
 
   // Children per parent node and children per shared variable.
   const std::int32_t arity = std::max<std::int32_t>(2, b - 1);
   const std::int32_t group = b - 1;  // children sharing one variable
 
-  ProcessId next_pid = first_relay_pid;
-  std::vector<Endpoint> level;
-  level.reserve(static_cast<std::size_t>(n));
-  for (ProcessId p = 0; p < n; ++p) level.push_back(Endpoint{p, -1});
-
+  Level level{0, n};
   while (level.size() > 1) {
-    ++depth_;
-    std::vector<Endpoint> next_level;
-    for (std::size_t at = 0; at < level.size(); at += arity) {
-      const std::size_t end =
-          std::min(level.size(), at + static_cast<std::size_t>(arity));
+    ++shape.depth;
+    // Every relay later shares one more variable with its parent, except the
+    // root: the one relay of a level that fits under a single parent.
+    const std::int32_t parent_vars = level.size() <= arity ? 0 : 1;
+    Level next{n + shape.num_relays, 0};
+    for (std::int32_t at = 0; at < level.size(); at += arity) {
+      const std::int32_t end = std::min(level.size(), at + arity);
       // A lone trailing endpoint would make a useless unary relay chain;
       // promote it directly to the next level instead.
-      if (end - at == 1 && !next_level.empty()) {
-        next_level.push_back(level[at]);
+      if (end - at == 1 && next.count > 0) {
+        next.tail = level.node(at);
         break;
       }
-      const ProcessId relay_pid = next_pid++;
-      RelaySpec relay;
-      relay.pid = relay_pid;
-      for (std::size_t g = at; g < end;
-           g += static_cast<std::size_t>(group)) {
-        const std::size_t gend =
-            std::min(end, g + static_cast<std::size_t>(group));
-        std::vector<ProcessId> accessors{relay_pid};
-        for (std::size_t c = g; c < gend; ++c)
-          accessors.push_back(level[c].pid);
-        const VarId var = mem.create_var(
-            accessors, "tree:d" + std::to_string(depth_) + ":r" +
-                           std::to_string(relay_pid) + ":g" +
-                           std::to_string(g - at));
-        relay.rotation.push_back(var);
-        for (std::size_t c = g; c < gend; ++c) {
-          const Endpoint& child = level[c];
-          if (child.relay_index < 0) {
-            uplinks_[static_cast<std::size_t>(child.pid)] = var;
-          } else {
-            relays_[static_cast<std::size_t>(child.relay_index)]
-                .rotation.push_back(var);
-          }
-        }
-      }
-      relays_.push_back(std::move(relay));
-      next_level.push_back(Endpoint{
-          relay_pid, static_cast<std::int32_t>(relays_.size() - 1)});
+      const std::int32_t relay = shape.num_relays++;
+      std::int32_t vars = 0;
+      for (std::int32_t g = at; g < end; g += group, ++vars)
+        on_var(shape.depth, relay, g - at, level, g, std::min(end, g + group));
+      ++next.count;
+      shape.max_cycle = std::max(shape.max_cycle, vars + parent_vars);
     }
-    level = std::move(next_level);
+    level = next;
   }
+  return shape;
+}
 
-  for (const RelaySpec& r : relays_)
-    max_cycle_ = std::max(max_cycle_,
-                          static_cast<std::int32_t>(r.rotation.size()));
+}  // namespace
+
+TreeShape TreeNetwork::shape(std::int32_t n, std::int32_t b) {
+  return build(n, b, [](auto&&...) {});
+}
+
+TreeNetwork::TreeNetwork(std::int32_t n, std::int32_t b, SharedMemory& mem,
+                         ProcessId first_relay_pid)
+    : n_(n), uplinks_(static_cast<std::size_t>(std::max(n, 0)), kNoVar) {
+  const auto pid_of = [&](std::int32_t node) {
+    return node < n ? node : first_relay_pid + (node - n);
+  };
+  shape_ = build(n, b, [&](std::int32_t depth, std::int32_t relay,
+                           std::int32_t offset, const Level& level,
+                           std::int32_t first, std::int32_t last) {
+    const ProcessId relay_pid = first_relay_pid + relay;
+    if (relay == static_cast<std::int32_t>(relays_.size()))
+      relays_.push_back(RelaySpec{relay_pid, {}});
+    std::vector<ProcessId> accessors{relay_pid};
+    for (std::int32_t c = first; c < last; ++c)
+      accessors.push_back(pid_of(level.node(c)));
+    const VarId var = mem.create_var(
+        accessors, "tree:d" + std::to_string(depth) + ":r" +
+                       std::to_string(relay_pid) + ":g" +
+                       std::to_string(offset));
+    relays_[static_cast<std::size_t>(relay)].rotation.push_back(var);
+    for (std::int32_t c = first; c < last; ++c) {
+      const std::int32_t child = level.node(c);
+      if (child < n) {
+        uplinks_[static_cast<std::size_t>(child)] = var;
+      } else {
+        relays_[static_cast<std::size_t>(child - n)].rotation.push_back(var);
+      }
+    }
+  });
 }
 
 VarId TreeNetwork::uplink(ProcessId leaf) const {

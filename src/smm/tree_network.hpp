@@ -33,27 +33,11 @@ struct RelaySpec {
   std::vector<VarId> rotation;
 };
 
-class TreeNetwork {
- public:
-  // Builds the tree over port processes 0..n-1 in `mem`; relay processes get
-  // ids first_relay_pid, first_relay_pid+1, ... Requires b >= 2 for n >= 2.
-  TreeNetwork(std::int32_t n, std::int32_t b, SharedMemory& mem,
-              ProcessId first_relay_pid);
-
-  std::int32_t num_leaves() const noexcept { return n_; }
-  std::int32_t num_relays() const noexcept {
-    return static_cast<std::int32_t>(relays_.size());
-  }
-  const std::vector<RelaySpec>& relays() const noexcept { return relays_; }
-
-  // The variable leaf p uses for all its tree accesses (its parent's
-  // child-side variable). kNoVar when n == 1 (no tree needed).
-  VarId uplink(ProcessId leaf) const;
-
-  // Tree height in relay levels (0 when n == 1).
-  std::int32_t depth() const noexcept { return depth_; }
-  // Longest relay rotation (steps for a relay to revisit a variable).
-  std::int32_t max_cycle_len() const noexcept { return max_cycle_; }
+// The numbers of a tree that do not depend on its variables.
+struct TreeShape {
+  std::int32_t depth = 0;  // tree height in relay levels (0 when n == 1)
+  std::int32_t num_relays = 0;
+  std::int32_t max_cycle = 1;  // longest relay rotation
 
   // Worst-case number of *step periods* for a fact merged into any leaf's
   // uplink variable to become visible in every other leaf's uplink variable,
@@ -63,13 +47,42 @@ class TreeNetwork {
   // boundary accesses. This is this implementation's concrete constant
   // behind the paper's O(log_b n).
   std::int64_t latency_steps_bound() const noexcept {
-    return 4LL * depth_ * max_cycle_ + 2;
+    return 4LL * depth * max_cycle + 2;
+  }
+};
+
+class TreeNetwork {
+ public:
+  // Builds the tree over port processes 0..n-1 in `mem`; relay processes get
+  // ids first_relay_pid, first_relay_pid+1, ... Requires b >= 2 for n >= 2.
+  TreeNetwork(std::int32_t n, std::int32_t b, SharedMemory& mem,
+              ProcessId first_relay_pid);
+
+  // The shape the constructor builds for (n, b), by the same construction
+  // loop but without a SharedMemory: allocates nothing.
+  static TreeShape shape(std::int32_t n, std::int32_t b);
+
+  std::int32_t num_leaves() const noexcept { return n_; }
+  std::int32_t num_relays() const noexcept { return shape_.num_relays; }
+  const std::vector<RelaySpec>& relays() const noexcept { return relays_; }
+
+  // The variable leaf p uses for all its tree accesses (its parent's
+  // child-side variable). kNoVar when n == 1 (no tree needed).
+  VarId uplink(ProcessId leaf) const;
+
+  // Tree height in relay levels (0 when n == 1).
+  std::int32_t depth() const noexcept { return shape_.depth; }
+  // Longest relay rotation (steps for a relay to revisit a variable).
+  std::int32_t max_cycle_len() const noexcept { return shape_.max_cycle; }
+
+  // See TreeShape::latency_steps_bound().
+  std::int64_t latency_steps_bound() const noexcept {
+    return shape_.latency_steps_bound();
   }
 
  private:
   std::int32_t n_;
-  std::int32_t depth_ = 0;
-  std::int32_t max_cycle_ = 1;
+  TreeShape shape_;
   std::vector<RelaySpec> relays_;
   std::vector<VarId> uplinks_;
 };

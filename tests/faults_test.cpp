@@ -503,7 +503,9 @@ TEST(DegradationTest, MpmGridClassifiesEveryCell) {
   EXPECT_EQ(report.cells[0].injected, 0);
   // Crash cells cannot fully solve: the crashed port never idles.
   for (const DegradationCell& cell : report.cells) {
-    if (cell.crashes > 0) EXPECT_NE(cell.outcome, RunOutcome::kSolved);
+    if (cell.crashes > 0) {
+      EXPECT_NE(cell.outcome, RunOutcome::kSolved);
+    }
     EXPECT_FALSE(cell.diagnostic.empty());
   }
   EXPECT_EQ(report.count(RunOutcome::kSolved) +
@@ -526,7 +528,9 @@ TEST(DegradationTest, SmmGridClassifiesEveryCell) {
   ASSERT_EQ(report.cells.size(), 4u);
   EXPECT_EQ(report.cells[0].outcome, RunOutcome::kSolved);
   for (const DegradationCell& cell : report.cells) {
-    if (cell.crashes > 0) EXPECT_NE(cell.outcome, RunOutcome::kSolved);
+    if (cell.crashes > 0) {
+      EXPECT_NE(cell.outcome, RunOutcome::kSolved);
+    }
     EXPECT_FALSE(cell.diagnostic.empty());
   }
 }

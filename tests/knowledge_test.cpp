@@ -96,6 +96,21 @@ std::int64_t draw_fact(Rng& rng) {
 
 TEST(KnowledgeTest, DigestMatchesBytewiseFnv) {
   EXPECT_EQ(Knowledge().digest(), reference_digest({}));
+  // Fields at the byte-length boundaries of the folded multiplies: a full
+  // top byte, a zero low byte under a nonzero one, zero bytes between
+  // nonzero ones, and all eight bytes nonzero.
+  for (const std::int64_t v : {std::int64_t{0xff}, std::int64_t{0x100},
+                               std::int64_t{0x10001}, std::int64_t{0xff00ff},
+                               std::int64_t{-1}}) {
+    const auto p = static_cast<ProcessId>(v);
+    const PortInfo info{v, v, true};
+    Knowledge k;
+    k.record(p, info);
+    EXPECT_EQ(k.digest(), reference_digest({{p, info}})) << v;
+    const PortInfo mixed{v, 0xff - v, false};
+    k.record(0, mixed);
+    EXPECT_EQ(k.digest(), reference_digest({{0, mixed}, {p, info}})) << v;
+  }
   Rng rng(0x5e55'd16e57ULL);
   for (int trial = 0; trial < 300; ++trial) {
     Knowledge k;
@@ -110,6 +125,105 @@ TEST(KnowledgeTest, DigestMatchesBytewiseFnv) {
       if (!fresh) it->second = join(it->second, info);
       ASSERT_EQ(k.digest(), reference_digest(facts)) << k.to_string();
     }
+  }
+}
+
+// exchange(a, b) must leave a and b exactly as a.merge(b); b.merge(a) does:
+// the same contents and digests. Its stamps may differ from the two merges',
+// but equal stamps must still mean equal contents.
+void expect_exchange_matches_merges(const Knowledge& a0, const Knowledge& b0) {
+  Knowledge a = a0;
+  Knowledge b = b0;
+  Knowledge::exchange(a, b);
+  Knowledge ra = a0;
+  Knowledge rb = b0;
+  ra.merge(rb);
+  rb.merge(ra);
+  EXPECT_EQ(a, ra) << a.to_string() << " vs " << ra.to_string();
+  EXPECT_EQ(b, rb) << b.to_string() << " vs " << rb.to_string();
+  EXPECT_EQ(a.digest(), ra.digest()) << a.to_string();
+  EXPECT_EQ(b.digest(), rb.digest()) << b.to_string();
+  const Knowledge* values[] = {&a0, &b0, &a, &b, &ra, &rb};
+  for (const Knowledge* x : values)
+    for (const Knowledge* y : values)
+      if (x->stamp() == y->stamp()) {
+        EXPECT_EQ(*x, *y) << x->to_string() << " vs " << y->to_string();
+      }
+  // A later mutation of one side restamps it apart from the other.
+  a.record(1000, PortInfo{1, 1, true});
+  EXPECT_NE(a.stamp(), b.stamp());
+}
+
+TEST(KnowledgeTest, ExchangeSameIds) {
+  Knowledge a, b;
+  a.record(0, PortInfo{3, 1, false});
+  a.record(4, PortInfo{0, 0, true});
+  b.record(0, PortInfo{1, 2, false});
+  b.record(4, PortInfo{7, 0, false});
+  expect_exchange_matches_merges(a, b);  // both sides change
+  Knowledge bigger = a;
+  bigger.record(0, PortInfo{9, 9, true});
+  bigger.record(4, PortInfo{9, 9, true});
+  expect_exchange_matches_merges(bigger, a);  // only the second changes
+  expect_exchange_matches_merges(a, bigger);  // only the first changes
+}
+
+TEST(KnowledgeTest, ExchangeDisjointIds) {
+  Knowledge a, b;
+  a.record(0, PortInfo{3, 1, false});
+  a.record(2, PortInfo{1, 1, false});
+  b.record(1, PortInfo{5, 0, true});
+  b.record(3, PortInfo{2, 2, false});
+  expect_exchange_matches_merges(a, b);
+  Knowledge overlap = b;
+  overlap.record(0, PortInfo{8, 0, false});
+  expect_exchange_matches_merges(a, overlap);
+}
+
+TEST(KnowledgeTest, ExchangeWithAnEmptySide) {
+  Knowledge a;
+  a.record(2, PortInfo{4, 4, true});
+  a.record(5, PortInfo{1, 0, false});
+  expect_exchange_matches_merges(a, Knowledge{});
+  expect_exchange_matches_merges(Knowledge{}, a);
+  expect_exchange_matches_merges(Knowledge{}, Knowledge{});
+}
+
+TEST(KnowledgeTest, ExchangeOfEqualValues) {
+  Knowledge a;
+  a.record(1, PortInfo{2, 3, false});
+  a.record(6, PortInfo{0, 1, true});
+  expect_exchange_matches_merges(a, a);  // one value copied: one stamp
+  Knowledge b;
+  b.record(6, PortInfo{0, 1, true});
+  b.record(1, PortInfo{2, 3, false});
+  ASSERT_EQ(a, b);
+  ASSERT_NE(a.stamp(), b.stamp());
+  expect_exchange_matches_merges(a, b);  // equal contents, distinct stamps
+
+  // Exchanging unchanged values leaves both stamps alone.
+  Knowledge x = a;
+  Knowledge y = b;
+  Knowledge::exchange(x, y);
+  EXPECT_EQ(x.stamp(), a.stamp());
+  EXPECT_EQ(y.stamp(), b.stamp());
+}
+
+TEST(KnowledgeTest, ExchangeMatchesMergesOnRandomValues) {
+  Rng rng(0xe8c4'a55eULL);
+  for (int trial = 0; trial < 500; ++trial) {
+    // Ids from a small pool, so the sides often hold the same ids.
+    Knowledge a, b;
+    const auto fill = [&rng](Knowledge& k) {
+      const auto records = rng.next_int(0, 5);
+      for (std::int64_t r = 0; r < records; ++r)
+        k.record(static_cast<ProcessId>(rng.next_int(0, 3)),
+                 PortInfo{rng.next_int(0, 4), rng.next_int(0, 4),
+                          rng.next_bool(1, 3)});
+    };
+    fill(a);
+    fill(b);
+    expect_exchange_matches_merges(a, b);
   }
 }
 

@@ -431,7 +431,9 @@ TEST(PackedRatioTest, HashAndCompareConsistentWithEquality) {
       ASSERT_EQ(a <=> b, intern.compare(pa, pb))
           << a.to_string() << " <=> " << b.to_string();
       ASSERT_EQ(intern.less(pa, pb), a < b);
-      if (a == b) ASSERT_EQ(pa.hash(), pb.hash());
+      if (a == b) {
+        ASSERT_EQ(pa.hash(), pb.hash());
+      }
     }
 }
 

@@ -839,7 +839,7 @@ TEST(ServerTest, UnrepresentableInstanceIsBadRequestAndServerSurvives) {
 
   const std::string instance =
       R"("model":"sporadic","s":3,"n":3,"c1":"1/1000003","d1":"1/999983","d2":"1/999979"})";
-  for (const std::string request :
+  for (const std::string& request :
        {R"({"id":1,"op":"bound","side":"mp",)" + instance,
         R"({"id":2,"op":"run","adversary":"random",)" + instance,
         R"({"id":3,"op":"run","adversary":"worst",)" + instance}) {

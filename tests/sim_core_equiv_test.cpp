@@ -27,6 +27,7 @@
 #include "sim/replay.hpp"
 #include "support/test_support.hpp"
 #include "timing/admissibility.hpp"
+#include "util/digest.hpp"
 #include "util/packed_ratio.hpp"
 #include "util/rng.hpp"
 
@@ -203,6 +204,91 @@ TEST(SimCoreEquiv, ChaosSweepReportsAreJobCountInvariant) {
     EXPECT_EQ(smm_chaos_sweep(spec, smm_constraints, *smm_factory, 16),
               smm_ref)
         << "jobs=" << jobs;
+  }
+}
+
+// --- Write corruption pins ---------------------------------------------------
+
+// Write corruption is the one fault after which a port process's merged
+// knowledge can hold more than its uplink variable: the variable loses its
+// contents, the process does not. It is therefore where the SMM's
+// incremental knowledge paths (stamp-skipped snapshot merges, the relay
+// gossip memo, Knowledge::exchange) would first diverge from plain merging.
+// The digests of to_text(trace) were recorded with plain merging.
+TEST(SimCoreEquiv, SmmWriteCorruptionTracesMatchPinnedDigests) {
+  struct Pin {
+    const char* algorithm;
+    std::int32_t n;
+    std::int32_t b;
+    const char* plan;
+    const char* digest;
+  };
+  const char* const kRate = "corrupt:15%,seed:11";
+  const char* const kAt = "corrupt:@3,corrupt:@17,corrupt:@60";
+  const Pin pins[] = {
+      {"semisync-communicate", 8, 2, kRate, "ca1c6341bfea3f33"},
+      {"semisync-communicate", 8, 2, kAt, "910f3efcdc619fb7"},
+      {"semisync-communicate", 8, 4, kRate, "74cc7f3154fd4fa6"},
+      {"semisync-communicate", 8, 4, kAt, "96f7e886eef6f414"},
+      {"semisync-communicate", 16, 2, kRate, "fddcb0bca5833406"},
+      {"semisync-communicate", 16, 2, kAt, "c71c7e135bce7d0f"},
+      {"semisync-communicate", 16, 4, kRate, "0a89d88acd3c21b4"},
+      {"semisync-communicate", 16, 4, kAt, "9e71317cb80aac08"},
+      {"async", 8, 2, kRate, "647602f0b83ba664"},
+      {"async", 8, 2, kAt, "5fbf07faa02d0f10"},
+      {"async", 8, 4, kRate, "20407a214a5b6825"},
+      {"async", 8, 4, kAt, "9058dec7c56ebbb7"},
+      {"async", 16, 2, kRate, "7dd918883636e402"},
+      {"async", 16, 2, kAt, "47e3899292cece12"},
+      {"async", 16, 4, kRate, "d022ae17a10d12a3"},
+      {"async", 16, 4, kAt, "f607b5de03d4cd4f"},
+      {"periodic", 8, 2, kRate, "20e716cb8c73d834"},
+      {"periodic", 8, 2, kAt, "a04340fa05841c0d"},
+      {"periodic", 8, 4, kRate, "17908dc3b9cf50d1"},
+      {"periodic", 8, 4, kAt, "8c39abd95e833584"},
+      {"periodic", 16, 2, kRate, "8ef44fa458d596ff"},
+      {"periodic", 16, 2, kAt, "091e4532b2c51a32"},
+      {"periodic", 16, 4, kRate, "9a66b3c22276d92f"},
+      {"periodic", 16, 4, kAt, "8df3ae0de2e8e95c"},
+  };
+  for (const Pin& pin : pins) {
+    const ProblemSpec spec{3, pin.n, pin.b};
+    const std::string algorithm = pin.algorithm;
+    const auto factory = make_smm_factory(algorithm);
+    ASSERT_TRUE(factory) << algorithm;
+    const std::optional<FaultPlan> plan = FaultPlan::parse(pin.plan);
+    ASSERT_TRUE(plan.has_value()) << pin.plan;
+    FaultInjector faults(*plan);
+    const SmmOutcome out = [&] {
+      if (algorithm == "periodic") {
+        // Heterogeneous fixed periods, port 0 slowest.
+        std::vector<Duration> periods(
+            static_cast<std::size_t>(smm_total_processes(pin.n, pin.b)),
+            Duration(1));
+        periods[0] = Duration(3);
+        periods[1] = Duration(2);
+        FixedPeriodScheduler sched(periods);
+        return run_smm_once(spec, TimingConstraints::periodic(periods),
+                            *factory, sched, SmmRunLimits{}, &faults);
+      }
+      // The asynchronous runs draw from a wider gap range than the
+      // semi-synchronous [1, 3], so the two round-based pins differ.
+      const bool async = algorithm == "async";
+      const auto constraints =
+          async ? TimingConstraints::asynchronous()
+                : TimingConstraints::semi_synchronous(Ratio(1), Ratio(3));
+      UniformGapScheduler sched(Ratio(1), Ratio(async ? 8 : 3),
+                                static_cast<std::uint64_t>(pin.n * 10 + pin.b));
+      return run_smm_once(spec, constraints, *factory, sched, SmmRunLimits{},
+                          &faults);
+    }();
+    const std::string where = algorithm + " n=" + std::to_string(pin.n) +
+                              " b=" + std::to_string(pin.b) + " " + pin.plan;
+    EXPECT_GT(faults.injected(FaultKind::kWriteCorruption), 0) << where;
+    EXPECT_TRUE(out.run.completed) << where;
+    EXPECT_EQ(util::fnv1a_hex(util::fnv1a(to_text(out.run.trace))),
+              pin.digest)
+        << where;
   }
 }
 

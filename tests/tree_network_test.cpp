@@ -105,6 +105,52 @@ TEST_P(TreeNetworkSweep, StructuralInvariants) {
   EXPECT_GE(tree.latency_steps_bound(), 2);
 }
 
+// TreeNetwork::shape() is the constructor's loop without variables; its
+// numbers must be the built tree's, and the built tree's must match its
+// actual rotations and leaf-to-root paths.
+TEST(TreeNetworkTest, ShapeMatchesTheBuiltTree) {
+  for (std::int32_t b = 2; b <= 6; ++b) {
+    for (std::int32_t n = 1; n <= 300; ++n) {
+      SharedMemory mem(b);
+      const TreeNetwork tree(n, b, mem, n);
+      const TreeShape shape = TreeNetwork::shape(n, b);
+      ASSERT_EQ(shape.depth, tree.depth()) << "n=" << n << " b=" << b;
+      ASSERT_EQ(shape.num_relays, tree.num_relays()) << "n=" << n << " b=" << b;
+      ASSERT_EQ(shape.max_cycle, tree.max_cycle_len())
+          << "n=" << n << " b=" << b;
+      ASSERT_EQ(shape.latency_steps_bound(), tree.latency_steps_bound())
+          << "n=" << n << " b=" << b;
+
+      ASSERT_EQ(static_cast<std::int32_t>(tree.relays().size()),
+                tree.num_relays());
+      std::size_t longest = 1;
+      for (const RelaySpec& r : tree.relays())
+        longest = std::max(longest, r.rotation.size());
+      ASSERT_EQ(static_cast<std::size_t>(tree.max_cycle_len()), longest)
+          << "n=" << n << " b=" << b;
+
+      // Depth is the longest leaf-to-root path. A variable's first accessor
+      // is the relay that owns it; a relay's parent variable is the one in
+      // its rotation that it does not own.
+      std::int32_t longest_path = 0;
+      for (ProcessId leaf = 0; leaf < n; ++leaf) {
+        std::int32_t hops = 0;
+        VarId up = tree.uplink(leaf);
+        while (up != kNoVar) {
+          ++hops;
+          const ProcessId owner = mem.accessors(up)[0];
+          up = kNoVar;
+          for (const VarId v :
+               tree.relays()[static_cast<std::size_t>(owner - n)].rotation)
+            if (mem.accessors(v)[0] != owner) up = v;
+        }
+        longest_path = std::max(longest_path, hops);
+      }
+      ASSERT_EQ(tree.depth(), longest_path) << "n=" << n << " b=" << b;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Grid, TreeNetworkSweep,
     ::testing::Combine(::testing::Values(2, 3, 4, 5, 8, 16, 17, 33, 64, 100),

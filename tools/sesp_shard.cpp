@@ -6,11 +6,12 @@
 // injects one deterministic fault (SIGKILL/SIGTERM a chosen worker once
 // the worker journals hold K records), merges the worker journals, and
 // finally replays the merge in-process so stdout carries the canonical
-// report — byte-identical to running the tool without sharding:
+// report — byte-identical to running the tool without sharding (each
+// example is one command line):
 //
-//   sesp_shard --shard-dir=DIR --workers=3 -- \
+//   sesp_shard --shard-dir=DIR --workers=3 --
 //       sesp_cli --substrate=mpm --model=semisync --s=3 --n=3
-//   sesp_shard --shard-dir=DIR --workers=3 --kill-after=2 \
+//   sesp_shard --shard-dir=DIR --workers=3 --kill-after=2
 //       --kill-signal=KILL --kill-worker=1 -- sesp_cli ...
 //
 // Merge mode folds an existing shard directory without running anything:
