@@ -52,23 +52,6 @@ if [ "${SESP_SKIP_RESUME_SMOKE:-0}" != "1" ]; then
   echo "resume smoke: interrupted run resumed byte-identically"
 fi
 
-# Shard smoke: run the same sweep through three worker processes with one
-# worker SIGTERMed mid-sweep and restarted; the coordinator's merged replay
-# must be byte-identical to the plain run (docs/robustness.md "Sharded
-# execution"). Skip with SESP_SKIP_SHARD_SMOKE=1.
-if [ "${SESP_SKIP_SHARD_SMOKE:-0}" != "1" ]; then
-  smoke_cmd=(build/tools/sesp_cli --substrate=mpm --model=sporadic
-             --s=4 --n=4 --degradation --jobs=2)
-  "${smoke_cmd[@]}" > shard_expected.out
-  rm -rf shard_smoke_dir
-  SESP_JOURNAL_FSYNC=0 build/tools/sesp_shard --shard-dir=shard_smoke_dir \
-    --workers=3 --kill-after=1 --kill-signal=TERM --kill-worker=1 \
-    -- "${smoke_cmd[@]}" > shard_actual.out
-  diff shard_expected.out shard_actual.out
-  rm -rf shard_smoke_dir shard_expected.out shard_actual.out
-  echo "shard smoke: killed-worker sharded run merged byte-identically"
-fi
-
 # Serve smoke: chaos-interrupt a served sweep mid-flight, resume the server,
 # and require the served report to be byte-identical to the offline CLI run
 # (docs/serving.md). Skip with SESP_SKIP_SERVE_SMOKE=1.

@@ -9,11 +9,6 @@
 // environment variable, else the hardware concurrency. Job count is a
 // throughput knob only: results are bit-identical for every value,
 // including 1 (the serial path).
-//
-// Jobs compose with process-level sharding (src/shard/): --jobs sets the
-// thread count inside one worker, --workers the number of worker processes
-// leasing slot ranges of the same sweep; the byte-identity contract holds
-// along both axes (docs/robustness.md "Sharded execution").
 
 namespace sesp::exec {
 

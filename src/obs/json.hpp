@@ -118,8 +118,7 @@ std::optional<JsonValue> parse_json(std::string_view text,
 // Re-serializes a parsed value through the streaming writer (member order
 // preserved, doubles via %.17g, non-finite as null). parse → write →
 // parse is a fixpoint — the round-trip property the fuzz tests pin, and
-// what sesp_trace_merge uses to fold foreign trace lines into one
-// document without hand-gluing strings.
+// how sesp_client re-emits a reply value without hand-gluing strings.
 void write_json_value(JsonWriter& w, const JsonValue& value);
 
 }  // namespace sesp::obs

@@ -18,7 +18,6 @@ const char* profile_phase_name(ProfilePhase phase) noexcept {
     case ProfilePhase::kAdmissibility: return "verify.admissibility";
     case ProfilePhase::kSessionCount: return "verify.count";
     case ProfilePhase::kExecTask: return "exec.task";
-    case ProfilePhase::kShardGather: return "shard.gather";
     case ProfilePhase::kServeRequest: return "serve.request";
     case ProfilePhase::kServeExec: return "serve.exec";
     case ProfilePhase::kCount: break;

@@ -38,7 +38,6 @@ enum class ProfilePhase : std::uint8_t {
   kAdmissibility,      // verify.admissibility
   kSessionCount,       // verify.count     — session/round counting
   kExecTask,           // exec.task        — one parallel sweep task
-  kShardGather,        // shard.gather     — peer-journal gathering
   kServeRequest,       // serve.request    — parse→reply for one request
   kServeExec,          // serve.exec       — compute under a serve job
   kCount

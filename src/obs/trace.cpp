@@ -28,17 +28,11 @@ void TraceSink::record(TraceEvent ev) {
 
 void TraceSink::instant(std::string name, std::string category,
                         std::string args_json) {
-  instant_at(now_ns(), std::move(name), std::move(category),
-             std::move(args_json));
-}
-
-void TraceSink::instant_at(std::int64_t start_ns, std::string name,
-                           std::string category, std::string args_json) {
   TraceEvent ev;
   ev.phase = TraceEvent::Phase::kInstant;
   ev.name = std::move(name);
   ev.category = std::move(category);
-  ev.start_ns = start_ns;
+  ev.start_ns = now_ns();
   ev.depth = depth_;
   ev.args_json = std::move(args_json);
   record(std::move(ev));
@@ -64,7 +58,7 @@ void TraceSink::merge_from(const TraceSink& other) {
 void TraceSink::write_jsonl(std::ostream& os) const {
   {
     // Leading metadata line: anchors this file's ts=0 to wall-clock time so
-    // sesp_trace_merge can align traces from different processes.
+    // traces written by different processes can be placed on one timeline.
     JsonWriter w(os);
     w.begin_object();
     w.field("name", "trace.meta");

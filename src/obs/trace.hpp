@@ -44,27 +44,13 @@ class TraceSink {
   // Nanoseconds since this sink was created.
   std::int64_t now_ns() const;
 
-  // Wall-clock (system_clock) microseconds at sink creation — the anchor
-  // sesp_trace_merge uses to align traces from different processes onto
-  // one timeline. Event timestamps stay steady_clock-relative.
+  // Wall-clock (system_clock) microseconds at sink creation, written as
+  // the trace.meta anchor so a trace file can be placed in wall time.
+  // Event timestamps stay steady_clock-relative.
   std::int64_t epoch_unix_us() const noexcept { return epoch_unix_us_; }
-
-  // Sink-relative nanoseconds for an absolute wall-clock millisecond stamp
-  // (lease deadlines, launch events) — may be negative for stamps taken
-  // before the sink existed.
-  std::int64_t ns_for_unix_ms(std::int64_t unix_ms) const noexcept {
-    return (unix_ms * 1000 - epoch_unix_us_) * 1000;
-  }
 
   void instant(std::string name, std::string category,
                std::string args_json = std::string());
-
-  // Instant at an explicit sink-relative timestamp: retro-records events
-  // whose times were captured elsewhere (heartbeat lease renewals, worker
-  // launch transitions) without breaking the single-writer contract.
-  void instant_at(std::int64_t start_ns, std::string name,
-                  std::string category,
-                  std::string args_json = std::string());
 
   const std::vector<TraceEvent>& events() const noexcept { return events_; }
   std::int64_t dropped() const noexcept { return dropped_; }

@@ -42,29 +42,12 @@ std::string frame_record(const std::string& stage, std::uint64_t slot,
   return os.str();
 }
 
-// Checksum input for a lease line: every field, order-fixed, '|'-joined —
-// the same shape the S-frame uses for its payload.
-std::string lease_checksum(const LeaseRecord& lease) {
-  std::ostringstream os;
-  os << lease.worker << '|' << lease.stage << '|' << lease.lo << '|'
-     << lease.len << '|' << lease.deadline_ms << '|' << lease.event;
-  return fnv1a_hex(fnv1a(os.str()));
-}
-
-std::string frame_lease(const LeaseRecord& lease) {
-  std::ostringstream os;
-  os << "L " << lease.worker << ' ' << lease.stage << ' ' << lease.lo << ' '
-     << lease.len << ' ' << lease.deadline_ms << ' ' << lease.event << ' '
-     << lease_checksum(lease) << '\n';
-  return os.str();
-}
-
 bool parse_hex16(const std::string& hex, std::uint64_t* out) {
   return util::parse_fnv1a_hex(hex, out);
 }
 
-}  // namespace
-
+// Parses the journal header line (without trailing newline); false + *error
+// on a schema/field mismatch.
 bool parse_journal_header(std::string_view line, std::string* tool,
                           std::uint64_t* config_digest, std::string* error) {
   std::istringstream hs{std::string(line)};
@@ -85,53 +68,51 @@ bool parse_journal_header(std::string_view line, std::string* tool,
   return true;
 }
 
+// Consumes verified frames from text[at..), appending to *records, and
+// returns the offset of the first unconsumed byte — text.size() unless the
+// file ends in a torn tail. A complete "L" line (a lease event of an older
+// build's multi-process mode) is not a tear: it sets *lease_line and stops.
 std::size_t parse_journal_frames(std::string_view text, std::size_t at,
                                  std::vector<JournalRecord>* records,
-                                 std::vector<LeaseRecord>* leases,
-                                 bool* torn) {
-  if (torn) *torn = false;
+                                 bool* lease_line) {
+  *lease_line = false;
   while (at < text.size()) {
     const std::size_t line_end = text.find('\n', at);
     if (line_end == std::string_view::npos) break;  // incomplete frame line
     std::istringstream fs{std::string(text.substr(at, line_end - at))};
     std::string marker;
     fs >> marker;
-    if (marker == "S") {
-      std::string stage, checksum;
-      std::uint64_t slot = 0;
-      std::size_t size = 0;
-      fs >> stage >> slot >> size >> checksum;
-      if (stage.empty() || !fs || checksum.size() != 16) break;
-      const std::size_t payload_at = line_end + 1;
-      // Frame tail: payload bytes, '\n', ".\n".
-      if (payload_at + size + 3 > text.size()) break;
-      const std::string payload{text.substr(payload_at, size)};
-      if (text.compare(payload_at + size, 3, "\n.\n") != 0 ||
-          fnv1a_hex(fnv1a(payload)) != checksum) {
-        break;
-      }
-      if (records) records->push_back({stage, slot, payload});
-      at = payload_at + size + 3;
-    } else if (marker == "L") {
-      LeaseRecord lease;
-      std::string checksum;
-      fs >> lease.worker >> lease.stage >> lease.lo >> lease.len >>
-          lease.deadline_ms >> lease.event >> checksum;
-      if (!fs || lease.stage.empty() || lease.event.empty() ||
-          lease_checksum(lease) != checksum) {
-        break;
-      }
-      if (leases) leases->push_back(std::move(lease));
-      at = line_end + 1;
-    } else {
-      break;  // unknown marker — untrusted from here on
+    if (marker == "L") {
+      *lease_line = true;
+      break;
     }
+    if (marker != "S") break;  // unknown marker — untrusted from here on
+    std::string stage, checksum;
+    std::uint64_t slot = 0;
+    std::size_t size = 0;
+    fs >> stage >> slot >> size >> checksum;
+    if (stage.empty() || !fs || checksum.size() != 16) break;
+    const std::size_t payload_at = line_end + 1;
+    // Frame tail: payload bytes, '\n', ".\n". Compared against what is
+    // left of the file without adding to `size`, which may be anything a
+    // damaged or crafted file holds.
+    const std::size_t left = text.size() - payload_at;
+    if (size > left || left - size < 3) break;
+    const std::string_view payload = text.substr(payload_at, size);
+    if (text.compare(payload_at + size, 3, "\n.\n") != 0 ||
+        fnv1a_hex(fnv1a(payload)) != checksum) {
+      break;
+    }
+    records->push_back({stage, slot, std::string(payload)});
+    at = payload_at + size + 3;
   }
-  if (torn && at < text.size()) *torn = true;
   return at;
 }
 
-JournalSnapshot read_journal_snapshot(const std::string& path) {
+// read_journal_snapshot() plus the byte length of the verified prefix,
+// which open_resume() truncates a torn file to.
+JournalSnapshot load_snapshot(const std::string& path,
+                              std::size_t* verified_bytes) {
   JournalSnapshot snap;
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -155,11 +136,27 @@ JournalSnapshot read_journal_snapshot(const std::string& path) {
   }
   ++at;
 
-  bool torn = false;
-  parse_journal_frames(text, at, &snap.records, &snap.leases, &torn);
-  snap.dropped = torn ? 1 : 0;
+  bool lease_line = false;
+  const std::size_t end =
+      parse_journal_frames(text, at, &snap.records, &lease_line);
+  if (lease_line) {
+    snap.records.clear();
+    snap.error = path +
+                 ": shard lease frame (written by a sharded run; not "
+                 "resumable)";
+    return snap;
+  }
+  snap.dropped = end < text.size() ? 1 : 0;
+  *verified_bytes = end;
   snap.ok = true;
   return snap;
+}
+
+}  // namespace
+
+JournalSnapshot read_journal_snapshot(const std::string& path) {
+  std::size_t verified_bytes = 0;
+  return load_snapshot(path, &verified_bytes);
 }
 
 std::unique_ptr<RunJournal> RunJournal::create(const std::string& path,
@@ -191,7 +188,8 @@ std::unique_ptr<RunJournal> RunJournal::create(const std::string& path,
 
 std::unique_ptr<RunJournal> RunJournal::open_resume(const std::string& path,
                                                     std::string* error) {
-  JournalSnapshot snap = read_journal_snapshot(path);
+  std::size_t verified_bytes = 0;
+  JournalSnapshot snap = load_snapshot(path, &verified_bytes);
   if (!snap.ok) {
     if (error) *error = snap.error;
     return nullptr;
@@ -205,7 +203,6 @@ std::unique_ptr<RunJournal> RunJournal::open_resume(const std::string& path,
   j->dropped_ = snap.dropped;
   for (JournalRecord& r : snap.records)
     j->completed_[{std::move(r.stage), r.slot}] = std::move(r.payload);
-  j->leases_ = std::move(snap.leases);
 
   const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
   if (fd < 0) {
@@ -213,6 +210,16 @@ std::unique_ptr<RunJournal> RunJournal::open_resume(const std::string& path,
     return nullptr;
   }
   j->fd_ = fd;
+  // Appending after a torn tail would leave every new record behind the
+  // tear, where the next load stops; cut the tail off first. An intact
+  // journal costs nothing extra here.
+  if (snap.dropped > 0) {
+    if (::ftruncate(fd, static_cast<off_t>(verified_bytes)) != 0) {
+      if (error) *error = "cannot truncate the torn tail of " + path;
+      return nullptr;
+    }
+    if (j->fsync_) ::fsync(fd);
+  }
   return j;
 }
 
@@ -231,16 +238,6 @@ bool RunJournal::append(const std::string& stage, std::uint64_t slot,
   return true;
 }
 
-bool RunJournal::append_lease(const LeaseRecord& lease) {
-  const std::string frame = frame_lease(lease);
-  std::lock_guard<std::mutex> lk(mu_);
-  if (fd_ < 0) return false;
-  if (!write_all(fd_, frame)) return false;
-  if (fsync_) ::fsync(fd_);
-  leases_.push_back(lease);
-  return true;
-}
-
 const std::string* RunJournal::lookup(const std::string& stage,
                                       std::uint64_t slot) const {
   std::lock_guard<std::mutex> lk(mu_);
@@ -251,16 +248,6 @@ const std::string* RunJournal::lookup(const std::string& stage,
 std::int64_t RunJournal::records() const {
   std::lock_guard<std::mutex> lk(mu_);
   return static_cast<std::int64_t>(completed_.size());
-}
-
-std::vector<LeaseRecord> RunJournal::leases() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return leases_;
-}
-
-void RunJournal::sync() {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (fd_ >= 0) ::fsync(fd_);
 }
 
 }  // namespace sesp::recovery

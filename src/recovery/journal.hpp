@@ -12,22 +12,19 @@
 //   S <stage> <slot> <payload-bytes> <fnv1a-hex16>
 //   <payload bytes>
 //   .
-//   L <worker> <stage> <lo> <len> <deadline-ms> <event> <fnv1a-hex16>
 //   S ...
-//
-// "S" frames checkpoint completed sweep slots. "L" frames are the sharded
-// execution layer's lease events (docs/robustness.md "Sharded execution"):
-// a worker appends one when it claims, steals, or completes a slot range,
-// so the journal is a durable audit trail of range ownership. Lease lines
-// are single-line, checksummed over their own fields, and ignored by slot
-// replay — they never affect a resumed report.
 //
 // Each record is written with one write(2) and (by default) one fsync(2),
 // so after a crash the file is a valid prefix plus at most one torn tail
-// record; open_resume() keeps every record whose frame and checksum verify
-// and drops the tail. Appends from sweep workers are serialized by a mutex
-// — journal writes are rare (one per completed slot) next to the slot's own
-// simulation work.
+// record; open_resume() keeps every record whose frame and checksum verify,
+// truncates the file to that verified prefix, and appends after it. Appends
+// from sweep workers are serialized by a mutex — journal writes are rare
+// (one per completed slot) next to the slot's own simulation work.
+//
+// Older builds also wrote "L" lease lines (a multi-process execution mode
+// that no longer exists). A journal holding one is rejected with a load
+// error rather than resumed: its slot records are split across several
+// such files, so no single one replays a whole sweep.
 //
 // SESP_JOURNAL_FSYNC=0 disables the per-record fsync (tests, tmpfs).
 
@@ -45,26 +42,13 @@
 namespace sesp::recovery {
 
 // The journal's digest is the shared util/digest FNV-1a (one definition for
-// the journal guard, the shard leases and the serve cache keys); these
-// aliases keep the historical recovery:: spelling the call sites use.
+// the journal guard and the serve cache keys); these aliases keep the
+// historical recovery:: spelling the call sites use.
 inline std::uint64_t fnv1a(std::string_view text,
                            std::uint64_t h = util::kFnv1aOffsetBasis) noexcept {
   return util::fnv1a(text, h);
 }
 inline std::string fnv1a_hex(std::uint64_t h) { return util::fnv1a_hex(h); }
-
-// One lease event in a worker's journal: worker `worker` claimed / stole /
-// finished the slot range [lo, lo+len) of `stage`, holding it until the
-// wall-clock deadline (unix milliseconds; 0 for "done" events, which never
-// expire).
-struct LeaseRecord {
-  std::int32_t worker = -1;
-  std::string stage;
-  std::uint64_t lo = 0;
-  std::uint64_t len = 0;
-  std::int64_t deadline_ms = 0;
-  std::string event;  // "claim" | "steal" | "done"
-};
 
 // One completed-slot record, in file order (read_journal_snapshot).
 struct JournalRecord {
@@ -73,36 +57,20 @@ struct JournalRecord {
   std::string payload;
 };
 
-// Read-only parse of a whole journal file — what --journal-inspect, the
-// shard merger and the peer readers share with open_resume(). `records` and
-// `leases` are in file order; `dropped` counts the torn tail (0 or 1 —
-// everything after the first unverifiable frame is untrusted).
+// Read-only parse of a whole journal file — what --journal-inspect and the
+// serve startup scan share with open_resume(). `records` are in file
+// order; `dropped` counts the torn tail (0 or 1 — everything after the
+// first unverifiable frame is untrusted).
 struct JournalSnapshot {
   bool ok = false;
   std::string error;
   std::string tool;
   std::uint64_t config_digest = 0;
   std::vector<JournalRecord> records;
-  std::vector<LeaseRecord> leases;
   std::int64_t dropped = 0;
 };
 
 JournalSnapshot read_journal_snapshot(const std::string& path);
-
-// Parses the journal header line (without trailing newline); false + *error
-// on a schema/field mismatch.
-bool parse_journal_header(std::string_view line, std::string* tool,
-                          std::uint64_t* config_digest, std::string* error);
-
-// Incremental frame parser: consumes verified frames from text[at..),
-// appending to *records / *leases (either may be null), and returns the
-// offset of the first unconsumed byte. Sets *torn when it stopped at an
-// incomplete or unverifiable frame — a live peer's in-flight append, which
-// a later call (with the grown file) may complete, or a genuine torn tail.
-std::size_t parse_journal_frames(std::string_view text, std::size_t at,
-                                 std::vector<JournalRecord>* records,
-                                 std::vector<LeaseRecord>* leases,
-                                 bool* torn);
 
 class RunJournal {
  public:
@@ -114,9 +82,9 @@ class RunJournal {
                                             std::string* error);
 
   // Opens an existing journal for resumption: loads every intact record,
-  // silently drops a torn tail (counted in dropped_on_load()), and reopens
-  // the file for appending. Returns nullptr on a missing file or a corrupt
-  // header.
+  // drops a torn tail (counted in dropped_on_load()) by truncating the file
+  // to its verified prefix, and reopens the file for appending. Returns
+  // nullptr on a missing file, a corrupt header or a lease line.
   static std::unique_ptr<RunJournal> open_resume(const std::string& path,
                                                  std::string* error);
 
@@ -142,23 +110,14 @@ class RunJournal {
   bool append(const std::string& stage, std::uint64_t slot,
               const std::string& payload);
 
-  // Appends one lease event line (thread-safe; fsyncs unless disabled).
-  bool append_lease(const LeaseRecord& lease);
-
   // Payload of a previously completed slot, or nullptr. Stable until the
   // journal is destroyed.
   const std::string* lookup(const std::string& stage,
                             std::uint64_t slot) const;
 
   std::int64_t records() const;
-  // Lease events loaded at open_resume() plus those appended since, in
-  // order.
-  std::vector<LeaseRecord> leases() const;
   std::int64_t dropped_on_load() const noexcept { return dropped_; }
   void set_fsync(bool on) noexcept { fsync_ = on; }
-  // One explicit fsync — pairs with set_fsync(false) for bulk writers (the
-  // shard merger) that batch records and sync once at the end.
-  void sync();
 
  private:
   RunJournal() = default;
@@ -172,7 +131,6 @@ class RunJournal {
 
   mutable std::mutex mu_;
   std::map<std::pair<std::string, std::uint64_t>, std::string> completed_;
-  std::vector<LeaseRecord> leases_;
 };
 
 }  // namespace sesp::recovery

@@ -12,7 +12,6 @@
 #include "exec/thread_pool.hpp"
 #include "obs/observer.hpp"
 #include "recovery/payload.hpp"
-#include "shard/shard.hpp"
 #include "util/ratio.hpp"
 
 namespace sesp::recovery {
@@ -193,30 +192,12 @@ std::string Supervisor::run_attempts(
   return encode_task_failure(failure);
 }
 
-void Supervisor::journal_payload(const std::string& stage, std::size_t slot,
-                                 const std::string& payload) {
-  if (!journal_ || journal_broken_) return;
-  if (journal_->append(stage, slot, payload)) {
-    note_append();
-  } else {
-    journal_broken_ = true;
-    std::fprintf(stderr,
-                 "warning: journal append failed at %s; "
-                 "continuing without checkpoints\n",
-                 journal_->path().c_str());
-  }
-}
-
 void Supervisor::for_each_slot(
     const std::string& stage_name, std::size_t count,
     const std::function<std::string(std::size_t)>& compute,
     const std::function<void(std::size_t, const std::string&)>& apply,
     int jobs) {
   const std::string stage = unique_stage(stage_name);
-  if (shard_) {
-    shard_for_each_slot(stage, count, compute, apply, jobs);
-    return;
-  }
 
   // Replay phase (serial): journaled slots recover their stored payloads.
   // Nothing is applied yet — application happens in one pass, in global
@@ -250,7 +231,18 @@ void Supervisor::for_each_slot(
         const std::size_t slot = pending[k];
         if (interrupted()) return;
         std::string payload = run_attempts(slot, compute);
-        journal_payload(stage, slot, payload);
+        // A failed append degrades to journal-less execution, never aborts;
+        // the first failing worker warns once.
+        if (journal_ && !journal_broken_.load()) {
+          if (journal_->append(stage, slot, payload)) {
+            note_append();
+          } else if (!journal_broken_.exchange(true)) {
+            std::fprintf(stderr,
+                         "warning: journal append failed at %s; "
+                         "continuing without checkpoints\n",
+                         journal_->path().c_str());
+          }
+        }
         payloads[slot].emplace(std::move(payload));
       },
       jobs);
@@ -285,156 +277,6 @@ void Supervisor::for_each_slot(
         .inc(deadline_exceeded_.load() - deadline_before);
     o->metrics->counter("recovery.task.failures")
         .inc(failures_.load() - failures_before);
-  }
-  if (o && o->trace) {
-    o->trace->instant("journal.stage", "recovery",
-                      obs::args_object(
-                          {obs::arg_str("stage", stage),
-                           obs::arg_int("replayed", replayed),
-                           obs::arg_int("executed", executed),
-                           obs::arg_int("skipped", skipped)}));
-    if (interrupted())
-      o->trace->instant("journal.interrupt", "recovery",
-                        obs::args_object({obs::arg_str("stage", stage)}));
-  }
-}
-
-void Supervisor::shard_for_each_slot(
-    const std::string& stage, std::size_t count,
-    const std::function<std::string(std::size_t)>& compute,
-    const std::function<void(std::size_t, const std::string&)>& apply,
-    int jobs) {
-  // Replay phase: our own journal first (a restarted worker resumes its
-  // completed slots for free); peers' checkpoints arrive via gather below.
-  std::vector<std::optional<std::string>> payloads(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::string* stored =
-        journal_ ? journal_->lookup(stage, i) : nullptr;
-    if (stored) payloads[i].emplace(*stored);
-  }
-
-  const auto missing_count = [&payloads] {
-    std::size_t m = 0;
-    for (const auto& p : payloads)
-      if (!p) ++m;
-    return m;
-  };
-
-  const std::uint64_t chunk = shard::shard_chunk(count);
-  const std::int64_t retries_before = retries_.load();
-  const std::int64_t deadline_before = deadline_exceeded_.load();
-  const std::int64_t failures_before = failures_.load();
-  const std::int64_t claimed_before = shard_->leases_claimed();
-  const std::int64_t stolen_before = shard_->leases_stolen();
-  const std::int64_t expired_before = shard_->leases_expired_seen();
-  obs::Observer* const o = obs::default_observer();
-
-  // Worker loop: lease a range with missing slots (stealing expired
-  // leases), compute its pending slots on the pool, journal each, mark the
-  // range done; when nothing is claimable, poll until the live leaseholder
-  // either finishes (its records appear in gather) or expires (we steal).
-  // Every worker exits this loop with the full payload set, so every
-  // worker applies — and prints — the complete canonical report.
-  std::int64_t executed = 0;
-  while (!interrupted() && missing_count() > 0) {
-    {
-      obs::ProfileScope gather_scope(o ? o->profiler : nullptr,
-                                     obs::ProfilePhase::kShardGather);
-      shard_->gather_peers(stage, &payloads);
-    }
-    if (missing_count() == 0) break;
-    std::size_t live_leases = 0;
-    const auto range = shard_->acquire_range(stage, count, chunk, payloads,
-                                             journal_.get(), &live_leases);
-    if (!range) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(shard_->options().poll_ms));
-      continue;
-    }
-    if (o && o->trace)
-      o->trace->instant(
-          "shard.lease", "shard",
-          obs::args_object(
-              {obs::arg_str("stage", stage),
-               obs::arg_int("lo", static_cast<std::int64_t>(range->lo)),
-               obs::arg_int("len",
-                            static_cast<std::int64_t>(range->hi - range->lo)),
-               obs::arg_int("stolen", range->stolen ? 1 : 0)}));
-
-    std::vector<std::size_t> pending;
-    for (std::uint64_t slot = range->lo; slot < range->hi; ++slot)
-      if (!payloads[slot]) pending.push_back(slot);
-
-    shard_->start_heartbeat(*range);
-    exec::parallel_for_each(
-        pending.size(),
-        [&](std::size_t k) {
-          const std::size_t slot = pending[k];
-          if (interrupted()) return;
-          std::string payload = run_attempts(slot, compute);
-          journal_payload(stage, slot, payload);
-          payloads[slot].emplace(std::move(payload));
-        },
-        jobs);
-    shard_->stop_heartbeat();
-    if (o && o->trace) {
-      // The heartbeat thread only records wall-clock stamps (the sink is
-      // single-writer); flush them as instants now that it has joined.
-      for (const std::int64_t renew_ms : shard_->take_renewals())
-        o->trace->instant_at(
-            o->trace->ns_for_unix_ms(renew_ms), "shard.lease.renew", "shard",
-            obs::args_object(
-                {obs::arg_str("stage", stage),
-                 obs::arg_int("lo", static_cast<std::int64_t>(range->lo))}));
-    }
-
-    bool complete = true;
-    for (const std::size_t slot : pending) {
-      if (payloads[slot]) ++executed;
-      else complete = false;
-    }
-    if (complete && !interrupted()) {
-      shard_->complete_range(stage, *range, journal_.get());
-      if (o && o->trace)
-        o->trace->instant(
-            "shard.range.done", "shard",
-            obs::args_object(
-                {obs::arg_str("stage", stage),
-                 obs::arg_int("lo", static_cast<std::int64_t>(range->lo)),
-                 obs::arg_int(
-                     "len", static_cast<std::int64_t>(range->hi - range->lo))}));
-    }
-  }
-
-  // Apply phase: identical to the plain path — serial, global slot order,
-  // decoded payload bytes only.
-  for (std::size_t i = 0; i < count; ++i)
-    if (payloads[i]) apply(i, *payloads[i]);
-
-  const std::int64_t skipped =
-      static_cast<std::int64_t>(missing_count());
-  const std::int64_t replayed =
-      static_cast<std::int64_t>(count) - executed - skipped;
-  slots_replayed_.fetch_add(replayed);
-  slots_executed_.fetch_add(executed);
-  slots_skipped_.fetch_add(skipped);
-
-  if (o && o->metrics) {
-    o->metrics->counter("recovery.slots.replayed").inc(replayed);
-    o->metrics->counter("recovery.slots.executed").inc(executed);
-    o->metrics->counter("recovery.slots.skipped").inc(skipped);
-    o->metrics->counter("recovery.task.retries")
-        .inc(retries_.load() - retries_before);
-    o->metrics->counter("recovery.task.deadline_exceeded")
-        .inc(deadline_exceeded_.load() - deadline_before);
-    o->metrics->counter("recovery.task.failures")
-        .inc(failures_.load() - failures_before);
-    o->metrics->counter("shard.leases.claimed")
-        .inc(shard_->leases_claimed() - claimed_before);
-    o->metrics->counter("shard.leases.stolen")
-        .inc(shard_->leases_stolen() - stolen_before);
-    o->metrics->counter("shard.leases.expired")
-        .inc(shard_->leases_expired_seen() - expired_before);
   }
   if (o && o->trace) {
     o->trace->instant("journal.stage", "recovery",

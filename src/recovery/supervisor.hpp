@@ -51,10 +51,6 @@
 
 #include "recovery/journal.hpp"
 
-namespace sesp::shard {
-class ShardContext;
-}  // namespace sesp::shard
-
 namespace sesp::recovery {
 
 // EX_TEMPFAIL: the run was interrupted but is resumable from the journal.
@@ -91,7 +87,7 @@ std::optional<TaskFailure> decode_task_failure(std::string_view payload);
 // policy.backoff_ms doubling per retry, capped at 1s, plus up to 25%
 // jitter seeded deterministically from (config digest, slot, attempt) —
 // never from the clock — so a retried slot backs off identically across
-// resumes and shard workers while distinct slots still decorrelate.
+// resumes and job counts while distinct slots still decorrelate.
 std::int64_t retry_backoff_ms(const TaskPolicy& policy,
                               std::uint64_t config_digest, std::size_t slot,
                               std::int32_t attempt);
@@ -136,15 +132,6 @@ class Supervisor {
   // (the SESP_STOP_AFTER env knob, read at construction; < 0 disables).
   void set_stop_after(std::int64_t n) noexcept { stop_after_ = n; }
 
-  // Sharded mode (docs/robustness.md "Sharded execution"): when a
-  // ShardContext is attached, for_each_slot() leases slot ranges through
-  // the shared shard directory, gathers peer checkpoints between rounds,
-  // and steals expired ranges, instead of computing every pending slot
-  // itself. The context is borrowed, not owned; it must outlive the
-  // supervisor's sweeps.
-  void set_shard(shard::ShardContext* shard) noexcept { shard_ = shard; }
-  shard::ShardContext* shard() const noexcept { return shard_; }
-
   // The supervised counterpart of exec::parallel_for_each. For every slot
   // in [0, count): journaled slots replay via apply(slot, payload); pending
   // slots run compute(slot) under the retry/deadline policy on the pool,
@@ -165,25 +152,12 @@ class Supervisor {
       std::size_t slot,
       const std::function<std::string(std::size_t)>& compute);
   void note_append();
-  // The leased-range worker loop behind for_each_slot() in shard mode;
-  // `stage` is already uniqued.
-  void shard_for_each_slot(
-      const std::string& stage, std::size_t count,
-      const std::function<std::string(std::size_t)>& compute,
-      const std::function<void(std::size_t, const std::string&)>& apply,
-      int jobs);
-  // Journals one computed payload, degrading to journal-less execution on
-  // a write error (shared by the plain and shard compute phases).
-  void journal_payload(const std::string& stage, std::size_t slot,
-                       const std::string& payload);
-
   std::unique_ptr<RunJournal> journal_;
   TaskPolicy policy_;
-  shard::ShardContext* shard_ = nullptr;
   std::atomic<bool> stop_{false};
   std::int64_t stop_after_ = -1;
   std::atomic<std::int64_t> appends_{0};
-  bool journal_broken_ = false;
+  std::atomic<bool> journal_broken_{false};
 
   bool handlers_installed_ = false;
   void (*saved_sigint_)(int) = nullptr;

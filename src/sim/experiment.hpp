@@ -21,9 +21,7 @@
 // The same sweeps run under recovery::supervised_sweep: with a supervisor
 // installed (tool flags --journal/--resume) each slot's result is
 // checkpointed, deadline/retry task isolation applies, and an interrupted
-// sweep resumes to a byte-identical report; with a shard context attached
-// (--shard-dir/--worker-id) the slot space is additionally leased out in
-// ranges to cooperating worker processes (docs/robustness.md).
+// sweep resumes to a byte-identical report (docs/robustness.md).
 
 #include <cstdint>
 #include <optional>

@@ -3,14 +3,14 @@
 // The one config/content digest of the codebase: 64-bit FNV-1a plus its
 // canonical 16-hex-digit rendering. One definition serves every fingerprint
 // that must agree across subsystems — the run-journal header guard and frame
-// checksums (src/recovery), the shard lease checksums and claim names
-// (src/shard), the conformance campaign digests, the tools' config digests,
-// and the serve-layer result-cache keys (src/serve) — so a digest computed
-// by one layer can always be recomputed and verified by another.
+// checksums (src/recovery), the conformance campaign digests, the tools'
+// config digests, and the serve-layer result-cache keys (src/serve) — so a
+// digest computed by one layer can always be recomputed and verified by
+// another.
 //
 // The hash is stable by construction (fixed offset basis and prime, byte
-// order independent of platform): digests persisted in journals, manifests
-// and cache keys stay comparable across runs and machines.
+// order independent of platform): digests persisted in journals and cache
+// keys stay comparable across runs and machines.
 
 #include <cstdint>
 #include <string>

@@ -6,13 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
-
-#include "obs/json.hpp"
 
 namespace sesp {
 namespace {
@@ -38,8 +37,6 @@ const std::string kCli = SESP_CLI_PATH;
 const std::string kAttack = SESP_ATTACK_PATH;
 const std::string kConformance = SESP_CONFORMANCE_PATH;
 const std::string kBenchMerge = SESP_BENCH_MERGE_PATH;
-const std::string kShard = SESP_SHARD_PATH;
-const std::string kTraceMerge = SESP_TRACE_MERGE_PATH;
 
 // Drops the tool's stderr (resume hints, recovery chatter) so the captured
 // output is exactly the stdout the byte-identity contract covers.
@@ -127,7 +124,7 @@ TEST(CliTest, UsageErrorsExitTwo) {
   for (const std::string& command :
        {kCli + " --s=abc", kCli + " --n=99999999999", kCli + " --jobs=1x",
         kCli + " --task-retries=q", kAttack + " --s=abc",
-        kConformance + " --cases=abc", kShard + " --workers=x"}) {
+        kConformance + " --cases=abc"}) {
     const auto r = run_command(command);
     EXPECT_EQ(r.status, 2) << command << "\n" << r.output;
     EXPECT_NE(r.output.find("bad integer for --"), std::string::npos)
@@ -267,48 +264,7 @@ TEST(CliTest, BenchMergeSkipsTruncatedRecords) {
   std::remove(out.c_str());
 }
 
-// Sharded execution end to end (docs/robustness.md "Sharded execution"):
-// real worker processes lease disjoint slot ranges through a shared shard
-// directory, and the coordinator's merged replay prints a stdout
-// byte-identical to the plain run — with and without a worker SIGKILLed
-// mid-sweep.
-TEST(CliTest, ShardedSweepMatchesPlainRunEvenUnderSigkill) {
-  const std::string sweep =
-      kCli + " --substrate=mpm --model=sporadic --adversary=worst"
-             " --s=3 --n=3 --c1=1 --d1=1 --d2=4 --jobs=2";
-  const auto plain = run_command(stdout_only(sweep));
-  ASSERT_EQ(plain.status, 0) << plain.output;
-
-  // Coordinator mode: the tool spawns its own workers and replays the
-  // merge.
-  const std::string dir1 = ::testing::TempDir() + "/cli_shard_coord";
-  run_command("rm -rf " + dir1);
-  const auto coord = run_command(stdout_only(
-      "SESP_JOURNAL_FSYNC=0 " + sweep + " --shard-dir=" + dir1 +
-      " --workers=3"));
-  EXPECT_EQ(coord.status, 0) << coord.output;
-  EXPECT_EQ(coord.output, plain.output);
-
-  // Chaos harness: SIGKILL one worker mid-sweep; survivors steal its
-  // ranges and the final replay is still byte-identical.
-  const std::string dir2 = ::testing::TempDir() + "/cli_shard_kill";
-  run_command("rm -rf " + dir2);
-  const auto chaos = run_command(stdout_only(
-      "SESP_JOURNAL_FSYNC=0 " + kShard + " --shard-dir=" + dir2 +
-      " --workers=3 --kill-after=2 --kill-signal=KILL --kill-worker=1"
-      " -- " + sweep));
-  EXPECT_EQ(chaos.status, 0) << chaos.output;
-  EXPECT_EQ(chaos.output, plain.output);
-
-  // The standalone merge of the same shard directory is deterministic.
-  const auto merge = run_command(kShard + " merge --shard-dir=" + dir2);
-  EXPECT_EQ(merge.status, 0) << merge.output;
-  EXPECT_NE(merge.output.find("merged"), std::string::npos) << merge.output;
-
-  run_command("rm -rf " + dir1 + " " + dir2);
-}
-
-TEST(CliTest, JournalInspectDescribesRecordsAndLeases) {
+TEST(CliTest, JournalInspectDescribesRecordsAndTornTail) {
   const std::string journal =
       ::testing::TempDir() + "/cli_inspect.journal";
   std::remove(journal.c_str());
@@ -327,12 +283,15 @@ TEST(CliTest, JournalInspectDescribesRecordsAndLeases) {
   EXPECT_NE(human.output.find("sesp_cli"), std::string::npos);
   EXPECT_NE(human.output.find("records:"), std::string::npos);
   EXPECT_NE(human.output.find("torn tail:"), std::string::npos);
+  EXPECT_EQ(human.output.find("leases:"), std::string::npos) << human.output;
 
   const auto json =
       run_command(kCli + " --journal-inspect=" + journal + " --json");
   EXPECT_EQ(json.status, 0) << json.output;
-  EXPECT_NE(json.output.find("\"schema\":\"sesp-journal-inspect/1\""),
+  EXPECT_NE(json.output.find("\"schema\":\"sesp-journal-inspect/2\""),
             std::string::npos)
+      << json.output;
+  EXPECT_EQ(json.output.find("\"leases\""), std::string::npos)
       << json.output;
   // Parallel slots already in flight may still append after
   // SESP_STOP_AFTER=2 asks to stop, so the journal holds at least two
@@ -352,28 +311,93 @@ TEST(CliTest, JournalInspectDescribesRecordsAndLeases) {
   std::remove(journal.c_str());
 }
 
-TEST(CliTest, ShardFlagValidationExitsTwo) {
-  // Worker/coordinator flags require --shard-dir and vice versa.
-  EXPECT_EQ(run_command(kCli + " --workers=2").status, 2);
-  EXPECT_EQ(run_command(kCli + " --worker-id=0").status, 2);
-  EXPECT_EQ(run_command(kCli + " --shard-dir=/tmp/nope_sd").status, 2);
-  // Sharding and single-file journaling are mutually exclusive, as are the
-  // two shard roles.
-  EXPECT_EQ(run_command(kCli + " --shard-dir=/tmp/nope_sd --workers=2"
-                               " --journal=/tmp/nope.journal").status,
-            2);
-  EXPECT_EQ(run_command(kCli + " --shard-dir=/tmp/nope_sd --workers=2"
-                               " --worker-id=0").status,
-            2);
-  // sesp_shard itself: no tool command after -- is a usage error.
-  EXPECT_EQ(run_command(kShard + " --shard-dir=/tmp/nope_sd").status, 2);
-  EXPECT_EQ(run_command(kShard + " --bogus").status, 2);
+// The multi-process flags of older builds are gone: every tool rejects
+// them as unknown options (exit 2) before any work runs.
+TEST(CliTest, RemovedShardFlagsAreUnknownOptions) {
+  for (const std::string& tool : {kCli, kAttack, kConformance}) {
+    for (const std::string flag :
+         {"--shard-dir=/tmp/nope_sd", "--workers=2", "--worker-id=0",
+          "--lease-ms=100", "--shard-restarts=1"}) {
+      const auto r = run_command(tool + " " + flag);
+      EXPECT_EQ(r.status, 2) << tool << " " << flag << "\n" << r.output;
+      EXPECT_NE(r.output.find("unknown option"), std::string::npos)
+          << tool << " " << flag << "\n" << r.output;
+    }
+  }
+}
+
+// A journal written by an older build's multi-process mode holds "L" lease
+// lines. Every tool refuses it with a structured error (exit 2) instead of
+// replaying a partial slot set or appending after bytes it cannot parse.
+TEST(CliTest, LeaseFrameJournalsExitTwo) {
+  const std::string journal = ::testing::TempDir() + "/cli_lease.journal";
+  write_file(journal,
+             "sesp-journal/1 tool=sesp_cli config=0123456789abcdef\n"
+             "L 0 mpm_degradation 0 1 1792399450145 claim f7a529967ced7708\n");
+  for (const std::string& command :
+       {kCli + " --journal-inspect=" + journal,
+        kCli + " --journal-inspect=" + journal + " --json",
+        kCli + " --substrate=mpm --model=sporadic --s=4 --n=4 --degradation"
+               " --resume=" + journal,
+        kAttack + " --construction=semisync-sm --alg=too-few-steps:2"
+                  " --s=4 --n=8 --c1=1 --c2=12 --resume=" + journal,
+        kConformance + " --cases=2 --resume=" + journal}) {
+    const auto r = run_command(command);
+    EXPECT_EQ(r.status, 2) << command << "\n" << r.output;
+    EXPECT_NE(r.output.find("shard lease frame (written by a sharded run; "
+                            "not resumable)"),
+              std::string::npos)
+        << command << "\n" << r.output;
+  }
+  std::remove(journal.c_str());
+}
+
+// A frame length near SIZE_MAX once wrapped the loader's bounds check and
+// aborted the process. Such a frame is a torn tail: inspect reports it, and
+// --resume drops it and completes to the plain run's stdout.
+TEST(CliTest, OversizedFrameLengthIsATornTail) {
+  const std::string journal = ::testing::TempDir() + "/cli_oversized.journal";
+  std::remove(journal.c_str());
+  const std::string sweep =
+      kCli + " --substrate=mpm --model=sporadic --adversary=worst"
+             " --s=3 --n=3 --c1=1 --d1=1 --d2=4 --jobs=1";
+  const auto plain = run_command(stdout_only(sweep));
+  ASSERT_EQ(plain.status, 0) << plain.output;
+  ASSERT_EQ(run_command("SESP_STOP_AFTER=2 SESP_JOURNAL_FSYNC=0 " + sweep +
+                        " --journal=" + journal)
+                .status,
+            75);
+  std::string text;
+  {
+    std::ifstream in(journal, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    text = buf.str();
+  }
+  // SIZE_MAX minus the payload offset: payload_at + size + 3 wraps to 2.
+  const std::string line_head = "S st 0 ";
+  const std::string line_tail = " 0123456789abcdef\n";
+  const std::size_t payload_at =
+      text.size() + line_head.size() + 20 + line_tail.size();
+  const std::string size = std::to_string(SIZE_MAX - payload_at);
+  ASSERT_EQ(size.size(), 20u);
+  write_file(journal, text + line_head + size + line_tail);
+
+  const auto inspect = run_command(kCli + " --journal-inspect=" + journal);
+  EXPECT_EQ(inspect.status, 0) << inspect.output;
+  EXPECT_NE(inspect.output.find("torn tail:   1 record(s) dropped"),
+            std::string::npos)
+      << inspect.output;
+  const auto resumed = run_command(
+      stdout_only("SESP_JOURNAL_FSYNC=0 " + sweep + " --resume=" + journal));
+  EXPECT_EQ(resumed.status, 0) << resumed.output;
+  EXPECT_EQ(resumed.output, plain.output);
+  std::remove(journal.c_str());
 }
 
 // Profiling must never disturb report bytes (docs/observability.md
-// "Profiling"): --profile at any --jobs value, and across a sharded
-// 3-worker run, leaves stdout byte-identical to the unprofiled run. The
-// profile table itself rides on stderr.
+// "Profiling"): --profile at any --jobs value leaves stdout byte-identical
+// to the unprofiled run. The profile table itself rides on stderr.
 TEST(CliTest, ProfiledRunsKeepStdoutByteIdentical) {
   const std::string sweep =
       kCli + " --substrate=mpm --model=sporadic --adversary=worst"
@@ -393,74 +417,6 @@ TEST(CliTest, ProfiledRunsKeepStdoutByteIdentical) {
   EXPECT_EQ(noisy.status, 0) << noisy.output;
   EXPECT_NE(noisy.output.find("profile (phase / count"), std::string::npos)
       << noisy.output;
-
-  const std::string dir = ::testing::TempDir() + "/cli_profile_shard";
-  run_command("rm -rf " + dir);
-  const auto sharded = run_command(stdout_only(
-      "SESP_JOURNAL_FSYNC=0 " + sweep + " --profile --jobs=2 --shard-dir=" +
-      dir + " --workers=3"));
-  EXPECT_EQ(sharded.status, 0) << sharded.output;
-  EXPECT_EQ(sharded.output, plain.output);
-  run_command("rm -rf " + dir);
-}
-
-// Cross-process trace aggregation end to end (docs/observability.md "Trace
-// aggregation"): a sharded run leaves per-participant trace JSONL files in
-// the shard directory, and sesp_trace_merge folds them into one Chrome
-// trace-event document with a pid lane per participant.
-TEST(CliTest, TraceMergeFoldsCoordinatorAndWorkerTraces) {
-  const std::string dir = ::testing::TempDir() + "/cli_trace_merge";
-  run_command("rm -rf " + dir);
-  const auto coord = run_command(stdout_only(
-      "SESP_JOURNAL_FSYNC=0 " + kCli +
-      " --substrate=mpm --model=sporadic --adversary=worst"
-      " --s=3 --n=3 --c1=1 --d1=1 --d2=4 --trace-events=trace.jsonl"
-      " --shard-dir=" + dir + " --workers=3"));
-  ASSERT_EQ(coord.status, 0) << coord.output;
-
-  const std::string merged = dir + "/merged_trace.json";
-  const auto merge =
-      run_command(kTraceMerge + " --shard-dir=" + dir + " --out=" + merged);
-  ASSERT_EQ(merge.status, 0) << merge.output;
-  EXPECT_NE(merge.output.find("merged"), std::string::npos) << merge.output;
-
-  std::ifstream in(merged);
-  ASSERT_TRUE(in.good()) << merged;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::string error;
-  const auto doc = obs::parse_json(buf.str(), &error);
-  ASSERT_TRUE(doc) << error;
-  const obs::JsonValue* events = doc->find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  ASSERT_GT(events->array.size(), 0u);
-
-  // One process_name metadata lane per participant, distinct pids, and the
-  // coordinator's worker-lifecycle instants all survive the merge.
-  int lanes = 0;
-  bool saw_coordinator = false, saw_worker = false, saw_spawn = false;
-  for (const obs::JsonValue& ev : events->array) {
-    const obs::JsonValue* name = ev.find("name");
-    if (!name) continue;
-    if (name->string == "process_name") {
-      ++lanes;
-      const std::string label = ev.find("args")->find("name")->string;
-      saw_coordinator = saw_coordinator || label == "coordinator";
-      saw_worker = saw_worker || label.rfind("worker-", 0) == 0;
-    }
-    saw_spawn = saw_spawn || name->string == "shard.worker.spawn";
-  }
-  EXPECT_EQ(lanes, 4) << buf.str().substr(0, 400);
-  EXPECT_TRUE(saw_coordinator);
-  EXPECT_TRUE(saw_worker);
-  EXPECT_TRUE(saw_spawn);
-
-  // Merging an empty directory is an error, not an empty document.
-  const std::string empty_dir = ::testing::TempDir() + "/cli_trace_empty";
-  run_command("rm -rf " + empty_dir + " && mkdir -p " + empty_dir);
-  EXPECT_EQ(run_command(kTraceMerge + " --shard-dir=" + empty_dir).status,
-            2);
-  run_command("rm -rf " + dir + " " + empty_dir);
 }
 
 TEST(CliTest, TraceDumpParsesBack) {

@@ -1,8 +1,7 @@
 // Unit tests for util/digest — the one FNV-1a definition shared by the run
-// journal's header guard / frame checksums, the shard leases, and the serve
-// result-cache keys. The reference vectors pin the exact hash function: if
-// either constant drifted, every persisted journal and manifest digest
-// would silently stop verifying.
+// journal's header guard / frame checksums and the serve result-cache keys.
+// The reference vectors pin the exact hash function: if either constant
+// drifted, every persisted journal digest would silently stop verifying.
 
 #include "util/digest.hpp"
 

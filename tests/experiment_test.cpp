@@ -75,7 +75,7 @@ TEST(ExperimentTest, RunOnceReturnsTraceAndVerdict) {
 
 // --- Pinned sweep outputs ----------------------------------------------------
 //
-// The jobs-count, recovery, shard and equivalence tests compare a sweep with
+// The jobs-count, recovery and equivalence tests compare a sweep with
 // itself, so a shifted seed derivation or a relabelled adversary passes all
 // of them. These cases pin every worst-case field, the degradation table and
 // the chaos counts and digest of each Table-1 cell at one fixed small

@@ -320,7 +320,7 @@ TEST(TraceTest, JsonlRoundTripsThroughParser) {
     ASSERT_TRUE(v->find("name"));
     ASSERT_TRUE(v->find("ph"));
     if (v->find("name")->string == "trace.meta") {
-      // The leading wall-clock anchor sesp_trace_merge aligns files with.
+      // The leading wall-clock anchor that places the file in wall time.
       EXPECT_EQ(parsed, 0);
       EXPECT_EQ(v->find("ph")->string, "M");
       const obs::JsonValue* args = v->find("args");
@@ -435,7 +435,7 @@ TEST(ProfilerTest, MergeFoldsCountsExtremaAndRing) {
   a.record(obs::ProfilePhase::kProcessStep, 50);
   b.record(obs::ProfilePhase::kProcessStep, 10);
   b.record(obs::ProfilePhase::kProcessStep, 90);
-  b.record(obs::ProfilePhase::kShardGather, 5);
+  b.record(obs::ProfilePhase::kServeExec, 5);
   a.merge_from(b);
   const obs::PhaseStat& step = a.stat(obs::ProfilePhase::kProcessStep);
   EXPECT_EQ(step.count, 3);
@@ -446,7 +446,7 @@ TEST(ProfilerTest, MergeFoldsCountsExtremaAndRing) {
   EXPECT_EQ(recent[0], 50);  // ours first, other's appended after
   EXPECT_EQ(recent[1], 10);
   EXPECT_EQ(recent[2], 90);
-  EXPECT_EQ(a.stat(obs::ProfilePhase::kShardGather).count, 1);
+  EXPECT_EQ(a.stat(obs::ProfilePhase::kServeExec).count, 1);
 }
 
 TEST(ProfilerTest, MergedCountsAreSplitInvariant) {

@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -202,61 +203,129 @@ TEST(JournalTest, MissingFileAndCorruptHeaderAreErrors) {
   std::remove(path.c_str());
 }
 
-TEST(JournalTest, LeaseRecordsRoundTripAndNeverAffectReplay) {
-  const std::string path = temp_path("journal_leases.journal");
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+// A frame length near SIZE_MAX once wrapped the bounds check
+// (payload_at + size + 3) and threw std::out_of_range out of the loader.
+// Every such length is a torn tail: the intact prefix survives.
+TEST(JournalTest, OversizedFrameLengthIsATornTail) {
+  const std::string path = temp_path("journal_oversized.journal");
   std::remove(path.c_str());
   std::string error;
   {
-    auto journal = recovery::RunJournal::create(path, "unit", 5, &error);
+    auto journal = recovery::RunJournal::create(path, "unit", 3, &error);
     ASSERT_NE(journal, nullptr) << error;
     journal->set_fsync(false);
-    recovery::LeaseRecord claim;
-    claim.worker = 2;
-    claim.stage = "sweep";
-    claim.lo = 0;
-    claim.len = 4;
-    claim.deadline_ms = 123456789;
-    claim.event = "claim";
-    ASSERT_TRUE(journal->append_lease(claim));
-    ASSERT_TRUE(journal->append("sweep", 0, "payload 0"));
-    recovery::LeaseRecord done = claim;
-    done.deadline_ms = 0;
-    done.event = "done";
-    ASSERT_TRUE(journal->append_lease(done));
+    ASSERT_TRUE(journal->append("st", 0, "payload zero"));
   }
+  const std::string intact = read_file(path);
+  const std::string head = "S st 1 ";
+  const std::string tail = " 0123456789abcdef\n";
+  // Lengths are 20 digits wide, so the payload offset is known up front.
+  const std::size_t payload_at =
+      intact.size() + head.size() + 20 + tail.size();
+  for (const std::size_t back : {0u, 1u, 2u}) {
+    const std::string size = std::to_string(SIZE_MAX - payload_at - back);
+    ASSERT_EQ(size.size(), 20u);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << intact << head << size << tail;
+    }
+    const recovery::JournalSnapshot snap =
+        recovery::read_journal_snapshot(path);
+    ASSERT_TRUE(snap.ok) << snap.error;
+    EXPECT_EQ(snap.records.size(), 1u) << "back=" << back;
+    EXPECT_EQ(snap.dropped, 1) << "back=" << back;
+    auto resumed = recovery::RunJournal::open_resume(path, &error);
+    ASSERT_NE(resumed, nullptr) << error;
+    EXPECT_EQ(resumed->records(), 1) << "back=" << back;
+    EXPECT_EQ(resumed->dropped_on_load(), 1) << "back=" << back;
+  }
+  std::remove(path.c_str());
+}
 
-  // open_resume replays slots only; lease events surface via leases().
-  auto journal = recovery::RunJournal::open_resume(path, &error);
-  ASSERT_NE(journal, nullptr) << error;
-  EXPECT_EQ(journal->records(), 1);
-  ASSERT_NE(journal->lookup("sweep", 0), nullptr);
-  EXPECT_EQ(*journal->lookup("sweep", 0), "payload 0");
-  const std::vector<recovery::LeaseRecord> leases = journal->leases();
-  ASSERT_EQ(leases.size(), 2u);
-  EXPECT_EQ(leases[0].worker, 2);
-  EXPECT_EQ(leases[0].stage, "sweep");
-  EXPECT_EQ(leases[0].lo, 0u);
-  EXPECT_EQ(leases[0].len, 4u);
-  EXPECT_EQ(leases[0].deadline_ms, 123456789);
-  EXPECT_EQ(leases[0].event, "claim");
-  EXPECT_EQ(leases[1].event, "done");
-  EXPECT_EQ(leases[1].deadline_ms, 0);
-
-  // The snapshot loader sees the same picture, and a torn lease tail (a
-  // mid-append kill) drops cleanly without taking the intact prefix along.
-  recovery::JournalSnapshot snap = recovery::read_journal_snapshot(path);
-  ASSERT_TRUE(snap.ok) << snap.error;
-  EXPECT_EQ(snap.records.size(), 1u);
-  EXPECT_EQ(snap.leases.size(), 2u);
+// open_resume() once appended after a torn tail, so the next load stopped
+// at the same tear and lost every record written since. The tail is now cut
+// off first: tear, resume while appending, and a second load sees it all.
+TEST(JournalTest, ResumeAfterTornTailKeepsLaterAppends) {
+  const std::string path = temp_path("journal_torn_resume.journal");
+  std::remove(path.c_str());
+  std::string error;
   {
-    std::ofstream out(path, std::ios::app);
-    out << "L 2 sweep 4 4 99";  // torn: no event, checksum, or newline
+    auto journal = recovery::RunJournal::create(path, "unit", 4, &error);
+    ASSERT_NE(journal, nullptr) << error;
+    journal->set_fsync(false);
+    ASSERT_TRUE(journal->append("s", 0, "payload zero"));
+    ASSERT_TRUE(journal->append("s", 1, "payload one"));
   }
-  snap = recovery::read_journal_snapshot(path);
-  ASSERT_TRUE(snap.ok) << snap.error;
-  EXPECT_EQ(snap.records.size(), 1u);
-  EXPECT_EQ(snap.leases.size(), 2u);
-  EXPECT_EQ(snap.dropped, 1);
+  const std::string intact = read_file(path);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out << "S s 2 115 bb27";  // a torn frame line, no newline
+  }
+  {
+    auto resumed = recovery::RunJournal::open_resume(path, &error);
+    ASSERT_NE(resumed, nullptr) << error;
+    EXPECT_EQ(resumed->dropped_on_load(), 1);
+    EXPECT_EQ(read_file(path), intact);  // the tear is gone before appends
+    resumed->set_fsync(false);
+    ASSERT_TRUE(resumed->append("s", 2, "payload two"));
+    ASSERT_TRUE(resumed->append("s", 3, "payload three"));
+  }
+  auto again = recovery::RunJournal::open_resume(path, &error);
+  ASSERT_NE(again, nullptr) << error;
+  EXPECT_EQ(again->dropped_on_load(), 0);
+  EXPECT_EQ(again->records(), 4);
+  ASSERT_NE(again->lookup("s", 3), nullptr);
+  EXPECT_EQ(*again->lookup("s", 3), "payload three");
+  std::remove(path.c_str());
+}
+
+// Older builds' multi-process mode wrote "L" lease lines into each worker's
+// journal. Such a file holds only that worker's share of the slots, so it is
+// rejected with a load error — never read as a torn tail, which would
+// recompute every slot and append behind bytes the next load cannot parse.
+TEST(JournalTest, LeaseFramesFromOlderBuildsAreRejected) {
+  const std::string path = temp_path("journal_lease.journal");
+  // A real line from an older build's worker journal.
+  const std::string lease =
+      "L 0 mpm_degradation 0 1 1792399450145 claim f7a529967ced7708\n";
+  std::string error;
+  std::string with_slot;
+  {
+    std::remove(path.c_str());
+    auto journal = recovery::RunJournal::create(path, "sesp_cli", 5, &error);
+    ASSERT_NE(journal, nullptr) << error;
+    journal->set_fsync(false);
+    ASSERT_TRUE(journal->append("mpm_degradation", 0, "payload 0"));
+    with_slot = read_file(path);
+  }
+  const std::string header = with_slot.substr(0, with_slot.find('\n') + 1);
+  for (const std::string& text :
+       {header + lease, with_slot + lease, header + lease + with_slot.substr(
+                                                             header.size())}) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << text;
+    }
+    const recovery::JournalSnapshot snap =
+        recovery::read_journal_snapshot(path);
+    EXPECT_FALSE(snap.ok);
+    EXPECT_NE(snap.error.find("shard lease frame (written by a sharded run; "
+                              "not resumable)"),
+              std::string::npos)
+        << snap.error;
+    EXPECT_TRUE(snap.records.empty());
+    error.clear();
+    EXPECT_EQ(recovery::RunJournal::open_resume(path, &error), nullptr);
+    EXPECT_NE(error.find("shard lease frame"), std::string::npos) << error;
+    EXPECT_EQ(read_file(path), text);  // a refused journal is left as is
+  }
   std::remove(path.c_str());
 }
 
@@ -415,7 +484,7 @@ TEST(SupervisorTest, RetryBackoffIsDeterministicJitteredAndCapped) {
   EXPECT_EQ(recovery::retry_backoff_ms(policy, 7, 3, 1), 0);
 
   // Pure function of (policy, digest, slot, attempt): identical across
-  // resumes and shard workers — no clock, no global state.
+  // resumes and job counts — no clock, no global state.
   for (std::int32_t attempt = 2; attempt <= 6; ++attempt) {
     const std::int64_t a = recovery::retry_backoff_ms(policy, 7, 3, attempt);
     const std::int64_t b = recovery::retry_backoff_ms(policy, 7, 3, attempt);

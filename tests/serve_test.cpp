@@ -15,8 +15,10 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <optional>
 #include <random>
 #include <string>
@@ -872,6 +874,47 @@ TEST(ServerTest, UnrepresentableInstanceIsBadRequestAndServerSurvives) {
   EXPECT_EQ(reply_status(*health), "Ok");
   server.stop();
   EXPECT_EQ(server.counters().bad_request.load(), 3);
+  fs::remove_all(dir);
+}
+
+// The startup scan of --resume reads every sweep journal in the directory.
+// A frame length near SIZE_MAX once wrapped the loader's bounds check and
+// aborted the server; a journal from an older build's multi-process mode
+// holds "L" lease lines. The first is a torn tail, the second is skipped
+// like any unreadable file, and the server comes up and keeps serving.
+TEST(ServerTest, ResumeOverCraftedJournalsKeepsServing) {
+  const fs::path dir = fresh_dir("sesp-serve-crafted");
+  const std::string header =
+      "sesp-journal/1 tool=sesp_serve config=0000000000000001\n";
+  const std::string head = "S serve.request 0 ";
+  const std::string tail = " 0123456789abcdef\n";
+  const std::size_t payload_at =
+      header.size() + head.size() + 20 + tail.size();
+  {
+    std::ofstream out(dir / "sweep-0000000000000001.journal",
+                      std::ios::binary);
+    out << header << head << std::to_string(SIZE_MAX - payload_at) << tail;
+  }
+  {
+    std::ofstream out(dir / "sweep-0000000000000002.journal",
+                      std::ios::binary);
+    out << "sesp-journal/1 tool=sesp_serve config=0000000000000002\n"
+           "L 0 mpm_degradation 0 1 1792399450145 claim f7a529967ced7708\n";
+  }
+  ServerConfig config;
+  config.journal_dir = dir.string();
+  config.resume = true;
+  Server server(config);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  EXPECT_EQ(server.resumed_sweeps(), 0);
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  const auto health = client.call(R"({"id":1,"op":"health"})");
+  ASSERT_TRUE(health);
+  EXPECT_EQ(reply_status(*health), "Ok");
+  server.stop();
+  EXPECT_FALSE(server.interrupted());
   fs::remove_all(dir);
 }
 

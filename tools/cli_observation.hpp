@@ -17,11 +17,6 @@
 //   --profile            per-phase wall-clock table on stderr (stderr so a
 //                        profiled run's stdout stays byte-identical to an
 //                        unprofiled one)
-//
-// Shard workers call rebase_for_shard() before constructing the scope: the
-// worker's trace and JSON outputs are rerouted to per-worker files inside
-// the shard directory and the "written to" notices move to stderr, keeping
-// the coordinator's stdout a pure function of the merged journal.
 
 #include <fstream>
 #include <iostream>
@@ -38,9 +33,6 @@ struct ObservationOptions {
   bool profile = false;
   std::string json_out;
   std::string trace_events;
-  // When nonempty, file outputs were rerouted into this shard directory and
-  // console notices must go to stderr (stdout is reserved for report bytes).
-  std::string shard_rebased_dir;
 
   bool any() const {
     return metrics || profile || !json_out.empty() || !trace_events.empty();
@@ -55,23 +47,6 @@ struct ObservationOptions {
     else if (key == "--trace-events") trace_events = value;
     else return false;
     return true;
-  }
-
-  // Reroutes file outputs for a shard participant so concurrent workers
-  // never collide on one path. Workers (worker_id >= 0) write
-  // <dir>/worker-<id>.trace.jsonl and <dir>/worker-<id>.run.json; the
-  // coordinator keeps only its trace, at <dir>/coordinator.trace.jsonl.
-  // No-op for outputs that were not requested.
-  void rebase_for_shard(const std::string& dir, std::int32_t worker_id) {
-    shard_rebased_dir = dir;
-    const std::string stem = worker_id >= 0
-        ? "worker-" + std::to_string(worker_id)
-        : "coordinator";
-    if (!trace_events.empty())
-      trace_events = dir + "/" + stem + ".trace.jsonl";
-    if (!json_out.empty()) {
-      if (worker_id >= 0) json_out = dir + "/" + stem + ".run.json";
-    }
   }
 
   static void usage(std::ostream& os) {
@@ -96,8 +71,6 @@ class ObservationScope {
   ~ObservationScope() {
     if (!opt_.any()) return;
     obs::set_default_observer(previous_);
-    std::ostream& notices =
-        opt_.shard_rebased_dir.empty() ? std::cout : std::cerr;
     if (opt_.metrics) std::cout << registry_.to_string();
     if (opt_.profile) std::cerr << profiler_.to_string();
     if (!opt_.json_out.empty()) {
@@ -118,7 +91,7 @@ class ObservationScope {
         w.field("trace_dropped", sink_.dropped());
         w.end_object();
         out << "\n";
-        notices << "metrics written to " << opt_.json_out << "\n";
+        std::cout << "metrics written to " << opt_.json_out << "\n";
       }
     }
     if (!opt_.trace_events.empty()) {
@@ -127,11 +100,11 @@ class ObservationScope {
         std::cerr << "cannot open " << opt_.trace_events << "\n";
       } else {
         sink_.write_jsonl(out);
-        notices << "trace events written to " << opt_.trace_events << " ("
-                << sink_.events().size() << " events";
-        if (sink_.dropped() > 0) notices << ", " << sink_.dropped()
-                                         << " dropped";
-        notices << ")\n";
+        std::cout << "trace events written to " << opt_.trace_events
+                  << " (" << sink_.events().size() << " events";
+        if (sink_.dropped() > 0)
+          std::cout << ", " << sink_.dropped() << " dropped";
+        std::cout << ")\n";
       }
     }
   }

@@ -274,15 +274,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   // Retimers and verifier report through the default observer; outputs are
-  // emitted when the scope closes. Shard participants reroute file outputs
-  // into the shard directory so workers never collide on one path.
-  sesp::ObservationOptions obs_opt = opt->obs;
-  if (!opt->recovery.shard_dir.empty())
-    obs_opt.rebase_for_shard(opt->recovery.shard_dir,
-                             opt->recovery.worker_id);
-  sesp::ObservationScope observation(obs_opt, "sesp_attack");
+  // emitted when the scope closes.
+  sesp::ObservationScope observation(opt->obs, "sesp_attack");
   sesp::RecoveryScope recovery(opt->recovery, "sesp_attack",
-                               sesp::config_digest(*opt), argc, argv);
+                               sesp::config_digest(*opt));
   if (recovery.error()) return 2;
   std::cout << "construction: " << opt->construction
             << "  target: " << opt->alg << "  instance: s=" << opt->spec.s

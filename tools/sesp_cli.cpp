@@ -31,7 +31,6 @@
 #include "model/trace_io.hpp"
 #include "p2p/p2p_simulator.hpp"
 #include "obs/json.hpp"
-#include "shard/lease.hpp"
 #include "sim/run_spec.hpp"
 #include "cli_flags.hpp"
 #include "cli_observation.hpp"
@@ -95,7 +94,7 @@ void usage(std::ostream& os) {
         "  --dump-trace=FILE            write sesp-trace format\n"
         "  --check-certificate=FILE     re-validate a violation certificate\n"
         "  --journal-inspect=FILE       describe a run journal (records,\n"
-        "                               config digest, torn tail, leases);\n"
+        "                               config digest, torn tail);\n"
         "                               bare --json for machine output\n";
   ObservationOptions::usage(os);
   RecoveryOptions::usage(os);
@@ -258,10 +257,8 @@ void maybe_dump(const Options& opt, const TimedComputation& trace) {
 }
 
 // --journal-inspect: a read-only description of a sesp-journal/1 file —
-// record counts per stage, failure payloads, torn-tail status, and the
-// lease events of sharded runs with their current state (the first thing
-// to look at when a shard appears stuck). Exit 0 on a readable journal,
-// 2 otherwise.
+// record counts per stage, failure payloads and torn-tail status. Exit 0
+// on a readable journal, 2 otherwise.
 int run_journal_inspect(const Options& opt) {
   const recovery::JournalSnapshot snap =
       recovery::read_journal_snapshot(opt.journal_inspect);
@@ -289,19 +286,10 @@ int run_journal_inspect(const Options& opt) {
     if (recovery::decode_task_failure(r.payload)) ++it->second.failures;
   }
 
-  const std::int64_t now = shard::unix_ms_now();
-  const auto lease_state = [now](const recovery::LeaseRecord& lease) {
-    if (lease.event == "done") return std::string("done");
-    if (lease.deadline_ms >= now)
-      return "active (" + std::to_string(lease.deadline_ms - now) +
-             " ms left)";
-    return std::string("expired");
-  };
-
   if (opt.inspect_json) {
     obs::JsonWriter w(std::cout);
     w.begin_object();
-    w.field("schema", "sesp-journal-inspect/1");
+    w.field("schema", "sesp-journal-inspect/2");
     w.field("path", opt.journal_inspect);
     w.field("tool", snap.tool);
     w.field("config", recovery::fnv1a_hex(snap.config_digest));
@@ -314,20 +302,6 @@ int run_journal_inspect(const Options& opt) {
       w.field("stage", stage);
       w.field("slots", stats.slots);
       w.field("failures", stats.failures);
-      w.end_object();
-    }
-    w.end_array();
-    w.key("leases");
-    w.begin_array();
-    for (const recovery::LeaseRecord& lease : snap.leases) {
-      w.begin_object();
-      w.field("worker", static_cast<std::int64_t>(lease.worker));
-      w.field("stage", lease.stage);
-      w.field("lo", static_cast<std::int64_t>(lease.lo));
-      w.field("len", static_cast<std::int64_t>(lease.len));
-      w.field("deadline_ms", lease.deadline_ms);
-      w.field("event", lease.event);
-      w.field("state", lease_state(lease));
       w.end_object();
     }
     w.end_array();
@@ -352,12 +326,7 @@ int run_journal_inspect(const Options& opt) {
             << (snap.dropped > 0
                     ? std::to_string(snap.dropped) + " record(s) dropped"
                     : std::string("none"))
-            << "\n"
-            << "leases:      " << snap.leases.size() << " event(s)\n";
-  for (const recovery::LeaseRecord& lease : snap.leases)
-    std::cout << "  worker " << lease.worker << "  " << lease.stage << "  ["
-              << lease.lo << "," << (lease.lo + lease.len) << ")  "
-              << lease.event << "  " << lease_state(lease) << "\n";
+            << "\n";
   return 0;
 }
 
@@ -498,18 +467,12 @@ static int cli_main(int argc, char** argv) {
 
   // Installed for the whole dispatch so every nested layer reports into it;
   // the metrics / JSON / trace outputs are emitted when the scope closes.
-  // Shard participants reroute file outputs into the shard directory so
-  // concurrent workers never collide on one path.
-  sesp::ObservationOptions obs_opt = opt->obs;
-  if (!opt->recovery.shard_dir.empty())
-    obs_opt.rebase_for_shard(opt->recovery.shard_dir,
-                             opt->recovery.worker_id);
-  sesp::ObservationScope observation(obs_opt, "sesp_cli");
+  sesp::ObservationScope observation(opt->obs, "sesp_cli");
   // Checkpoint/resume supervision for the sweeps underneath (worst-case
   // families, degradation grids): journal flags are validated before any
   // work runs, and a drained SIGINT/SIGTERM maps to exit 75 in finish().
   sesp::RecoveryScope recovery(opt->recovery, "sesp_cli",
-                               sesp::config_digest(*opt), argc, argv);
+                               sesp::config_digest(*opt));
   if (recovery.error()) return 2;
 
   const sesp::RunSpec& run = opt->run;

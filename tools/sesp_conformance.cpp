@@ -288,11 +288,9 @@ int run(int argc, char** argv) {
     }
   }
 
-  if (!opt.recovery.shard_dir.empty())
-    opt.obs.rebase_for_shard(opt.recovery.shard_dir, opt.recovery.worker_id);
   ObservationScope scope(opt.obs, "sesp_conformance");
   RecoveryScope recovery(opt.recovery, "sesp_conformance",
-                         config_digest(opt), argc, argv);
+                         config_digest(opt));
   if (recovery.error()) return 2;
   if (!opt.replay_file.empty()) return replay_witness_file(opt);
   if (!opt.emit_golden.empty()) return emit_golden(opt);
