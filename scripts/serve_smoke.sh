@@ -5,8 +5,9 @@
 #   1. Start sesp_serve with a journal dir and --chaos=1: the first sweep's
 #      supervisor stops after one journal append, draining the server
 #      exactly as a SIGTERM would (deterministic kill point).
-#   2. Submit that sweep plus mixed traffic (bounds, runs, malformed lines)
-#      through sesp_client; every reply must be structured.
+#   2. Submit that sweep plus mixed traffic (bounds, runs, malformed lines,
+#      a replay of a crafted trace) through sesp_client; every reply must
+#      be structured and the server must keep serving.
 #   3. The server drains and exits 75 (EX_TEMPFAIL) with the sweep
 #      journaled and resumable.
 #   4. Restart with --resume: the sweep finishes and its report must be
@@ -64,6 +65,14 @@ summary="$("$client" --port="$port" --timeout-ms=10000 --summary \
   --send='{"id":6,"op":"warp"}')"
 echo "serve smoke: mixed traffic: $summary"
 test "$summary" = "Ok=4 BadRequest=2 Overloaded=0 Timeout=0"
+
+# A replay trace whose message names a deliver step past the trace's end
+# replays as undelivered (match:false); the server must keep serving.
+crafted='{"id":7,"op":"replay","model":"async","side":"mp","s":2,"n":2,"trace":"sesp-trace v1\nmeta,mpm,2,2\nstep,c,0,1,0,-1,-1,0,0,0\nmsg,0,1,0,4000000000,-,0,0,0\n"}'
+summary="$("$client" --port="$port" --timeout-ms=10000 --summary \
+  --send="$crafted" --send='{"id":8,"op":"health"}')"
+echo "serve smoke: crafted replay: $summary"
+test "$summary" = "Ok=2 BadRequest=0 Overloaded=0 Timeout=0"
 
 sweep='{"id":1,"op":"sweep","substrate":"mpm","model":"semisync","seed":1992}'
 ticket="$("$client" --port="$port" --send="$sweep" --print-field=result.ticket)"

@@ -90,18 +90,19 @@ Time SlowOneScheduler::next_step_time(ProcessId p, std::optional<Time> prev,
   return base + periods_[static_cast<std::size_t>(p)];
 }
 
-ScriptedScheduler::ScriptedScheduler(
-    std::map<ProcessId, std::vector<Time>> script, Duration tail_gap)
+ScriptedScheduler::ScriptedScheduler(std::vector<std::vector<Time>> script,
+                                     Duration tail_gap)
     : script_(std::move(script)), tail_gap_(tail_gap) {
   if (!tail_gap_.is_positive()) fail("ScriptedScheduler: need tail gap > 0");
 }
 
 Time ScriptedScheduler::next_step_time(ProcessId p, std::optional<Time> prev,
                                        std::int64_t step_index) {
-  const auto it = script_.find(p);
-  if (it != script_.end() &&
-      static_cast<std::size_t>(step_index) < it->second.size())
-    return it->second[static_cast<std::size_t>(step_index)];
+  if (p >= 0 && static_cast<std::size_t>(p) < script_.size()) {
+    const std::vector<Time>& times = script_[static_cast<std::size_t>(p)];
+    if (static_cast<std::size_t>(step_index) < times.size())
+      return times[static_cast<std::size_t>(step_index)];
+  }
   const Time base = prev ? *prev : Time(0);
   return base + tail_gap_;
 }

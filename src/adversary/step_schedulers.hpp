@@ -8,7 +8,6 @@
 // fully scripted step lists (the retiming constructions).
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "adversary/schedulers.hpp"
@@ -85,19 +84,19 @@ class SlowOneScheduler final : public StepScheduler {
   std::vector<Duration> periods_;
 };
 
-// Fully scripted schedule: process p's k-th step at script[p][k]. Once a
-// script is exhausted the schedule continues with `tail_gap` between steps
-// (so algorithms that run longer than the script still terminate).
+// Fully scripted schedule: process p's k-th step at script[p][k], for p in
+// [0, script.size()). Once a script is exhausted, and for any process it
+// does not cover, the schedule continues with `tail_gap` between steps (so
+// algorithms that run longer than the script still terminate).
 class ScriptedScheduler final : public StepScheduler {
  public:
-  ScriptedScheduler(std::map<ProcessId, std::vector<Time>> script,
-                    Duration tail_gap);
+  ScriptedScheduler(std::vector<std::vector<Time>> script, Duration tail_gap);
 
   Time next_step_time(ProcessId p, std::optional<Time> prev,
                       std::int64_t step_index) override;
 
  private:
-  std::map<ProcessId, std::vector<Time>> script_;
+  std::vector<std::vector<Time>> script_;
   Duration tail_gap_;
 };
 

@@ -1,6 +1,6 @@
 #include "sim/replay.hpp"
 
-#include <map>
+#include <algorithm>
 #include <sstream>
 #include <vector>
 
@@ -13,35 +13,55 @@ namespace sesp {
 
 namespace {
 
+// The recorded compute times of each of the run's `processes` processes,
+// indexed by id. The run never asks for any other process, so steps naming
+// one are left out, and a trace's own counts and ids size nothing.
 ScriptedScheduler scheduler_from(const TimedComputation& trace,
+                                 std::int32_t processes,
                                  const Duration& tail_gap) {
-  std::map<ProcessId, std::vector<Time>> script;
+  std::vector<std::vector<Time>> script(
+      static_cast<std::size_t>(std::max(processes, 0)));
   for (const StepRecord& st : trace.steps())
-    if (st.is_compute()) script[st.process].push_back(st.time);
+    if (st.is_compute() && st.process >= 0 && st.process < processes)
+      script[static_cast<std::size_t>(st.process)].push_back(st.time);
   return ScriptedScheduler(std::move(script), tail_gap);
 }
 
-// Replays each message's recorded delay, keyed by MsgId: as long as the
-// runs agree, message ids are assigned in the same order.
+// Messages never delivered in the recording get pushed past any plausible
+// termination so the replay doesn't deliver them either.
+constexpr Duration kNever(1'000'000'000);
+
+// Replays each message's recorded delay, indexed by MsgId: as long as the
+// runs agree, message ids are assigned in the same order, and a trace's
+// message ids are its dense record positions 0..m-1.
 class RecordedDelay final : public DelayStrategy {
  public:
-  explicit RecordedDelay(const TimedComputation& trace) {
+  explicit RecordedDelay(const TimedComputation& trace)
+      : delays_(trace.messages().size(), kNever) {
+    const auto& steps = trace.steps();
     for (const MessageRecord& m : trace.messages()) {
-      if (!m.delivered()) continue;
-      delays_[m.id] = trace.steps()[m.deliver_step].time -
-                      trace.steps()[m.send_step].time;
+      // Only a delivery that the trace holds, at or after a send that it
+      // holds, has a delay to replay; anything else (a crafted trace) replays
+      // as never delivered rather than reading past the steps or scheduling
+      // into the past.
+      if (!m.delivered() || m.deliver_step >= steps.size() ||
+          m.send_step >= steps.size())
+        continue;
+      const Time& sent = steps[m.send_step].time;
+      const Time& delivered = steps[m.deliver_step].time;
+      if (delivered < sent) continue;
+      delays_[static_cast<std::size_t>(m.id)] = delivered - sent;
     }
   }
 
   Duration delay(ProcessId, ProcessId, const Time&, MsgId id) override {
-    const auto it = delays_.find(id);
-    // Messages never delivered in the recording get pushed past any
-    // plausible termination so the replay doesn't deliver them either.
-    return it == delays_.end() ? Duration(1'000'000'000) : it->second;
+    return id >= 0 && static_cast<std::size_t>(id) < delays_.size()
+               ? delays_[static_cast<std::size_t>(id)]
+               : kNever;
   }
 
  private:
-  std::map<MsgId, Duration> delays_;
+  std::vector<Duration> delays_;
 };
 
 std::string describe(const StepRecord& st) { return st.to_string(); }
@@ -84,7 +104,9 @@ ReplayReport compare(const TimedComputation& expected,
 ReplayReport replay_smm(const TimedComputation& trace, const ProblemSpec& spec,
                         const TimingConstraints& constraints,
                         const SmmAlgorithmFactory& factory) {
-  ScriptedScheduler scheduler = scheduler_from(trace, Duration(1'000'000'000));
+  ScriptedScheduler scheduler =
+      scheduler_from(trace, smm_total_processes(spec.n, spec.b),
+                     Duration(1'000'000'000));
   SmmSimulator sim(spec, constraints, factory, scheduler);
   const SmmRunResult run = sim.run();
   return compare(trace, run.trace);
@@ -93,7 +115,8 @@ ReplayReport replay_smm(const TimedComputation& trace, const ProblemSpec& spec,
 ReplayReport replay_mpm(const TimedComputation& trace, const ProblemSpec& spec,
                         const TimingConstraints& constraints,
                         const MpmAlgorithmFactory& factory) {
-  ScriptedScheduler scheduler = scheduler_from(trace, Duration(1'000'000'000));
+  ScriptedScheduler scheduler =
+      scheduler_from(trace, spec.n, Duration(1'000'000'000));
   RecordedDelay delays(trace);
   MpmSimulator sim(spec, constraints, factory, scheduler, delays);
   const MpmRunResult run = sim.run();

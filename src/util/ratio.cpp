@@ -24,7 +24,12 @@ Ratio::Ratio(std::int64_t num, std::int64_t den) : num_(num), den_(den) {
     num_ = -num_;
     den_ = -den_;
   }
-  const std::int64_t g = std::gcd(num_, den_);
+  // The gcd of the magnitudes, taken unsigned: std::gcd on int64 needs
+  // |num| representable, and |INT64_MIN| is not. g <= den, so it narrows.
+  const std::uint64_t mag = num_ < 0 ? 0 - static_cast<std::uint64_t>(num_)
+                                     : static_cast<std::uint64_t>(num_);
+  const auto g = static_cast<std::int64_t>(
+      std::gcd(mag, static_cast<std::uint64_t>(den_)));
   if (g > 1) {
     num_ /= g;
     den_ /= g;

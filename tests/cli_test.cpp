@@ -348,6 +348,14 @@ TEST(CliTest, LeaseFrameJournalsExitTwo) {
                             "not resumable)"),
               std::string::npos)
         << command << "\n" << r.output;
+    // A refused resume names the journal once.
+    if (command.find("--resume=") != std::string::npos) {
+      EXPECT_NE(r.output.find("cannot resume: " + journal + ": shard lease"),
+                std::string::npos)
+          << command << "\n" << r.output;
+      EXPECT_EQ(r.output.find(journal), r.output.rfind(journal))
+          << command << "\n" << r.output;
+    }
   }
   std::remove(journal.c_str());
 }

@@ -43,6 +43,18 @@ TEST(RatioTest, NormalizesToLowestTerms) {
   EXPECT_EQ(Ratio(0, 7), Ratio(0));
 }
 
+// INT64_MIN has no representable magnitude; it reduces by the power of two
+// it shares with the denominator, and only by that.
+TEST(RatioTest, Int64MinNumeratorNormalizes) {
+  EXPECT_EQ(Ratio(INT64_MIN, 3).num(), INT64_MIN);
+  EXPECT_EQ(Ratio(INT64_MIN, 3).den(), 3);
+  EXPECT_EQ(Ratio(INT64_MIN, 4).num(), INT64_MIN / 4);
+  EXPECT_EQ(Ratio(INT64_MIN, 4).den(), 1);
+  EXPECT_EQ(Ratio(INT64_MIN, 12).num(), INT64_MIN / 4);
+  EXPECT_EQ(Ratio(INT64_MIN, 12).den(), 3);
+  EXPECT_EQ(Ratio(INT64_MIN, INT64_MAX).den(), INT64_MAX);
+}
+
 TEST(RatioTest, DenominatorAlwaysPositive) {
   EXPECT_GT(Ratio(1, -3).den(), 0);
   EXPECT_EQ(Ratio(1, -3).num(), -1);

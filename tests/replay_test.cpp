@@ -120,5 +120,51 @@ TEST(ReplayTest, DetectsTamperedTrace) {
   EXPECT_EQ(report.divergence, out.run.trace.steps().size() / 2);
 }
 
+// Replays of crafted traces: the schedule and delays come from the trace,
+// so every reference in it is checked before use.
+ReplayReport replay_async_text(const std::string& text) {
+  std::string error;
+  const auto trace = trace_from_text(text, &error);
+  EXPECT_TRUE(trace.has_value()) << error;
+  if (!trace) return {};
+  AsyncMpmFactory factory;
+  return replay_mpm(*trace, ProblemSpec{2, 2, 2},
+                    TimingConstraints::asynchronous(2, 4), factory);
+}
+
+// A message whose deliver or send step lies outside the trace replays as
+// never delivered, and the trace is a plain mismatch.
+TEST(ReplayTest, OutOfRangeMessageStepsReplayAsUndelivered) {
+  const std::string head =
+      "sesp-trace v1\nmeta,mpm,2,2\nstep,c,0,1,0,-1,-1,0,0,0\n";
+  for (const std::string msg : {"msg,0,1,0,4000000000,-,0,0,0\n",
+                                "msg,0,1,4000000000,0,-,0,0,0\n",
+                                "msg,0,1,18446744073709551614,1,-,0,0,0\n"}) {
+    const ReplayReport report = replay_async_text(head + msg);
+    EXPECT_FALSE(report.match) << msg;
+    EXPECT_EQ(report.divergence, 1u) << msg << report.detail;
+  }
+}
+
+// A delivery recorded before its own send would be a negative delay; the
+// replay must not schedule into the past to reproduce it.
+TEST(ReplayTest, DeliveryBeforeSendIsNotReplayed) {
+  const ReplayReport report = replay_async_text(
+      "sesp-trace v1\nmeta,mpm,2,2\nstep,c,0,4,0,-1,-1,0,0,0\n"
+      "step,d,-1,1,-1,-1,0,0,0,0\nmsg,0,0,0,1,-,0,0,0\n");
+  EXPECT_FALSE(report.match);
+  EXPECT_EQ(report.divergence, 1u) << report.detail;
+}
+
+// The schedule is sized by the run, not by the trace: a huge declared
+// process count and steps of processes the run does not have are ignored.
+TEST(ReplayTest, ForeignProcessesAndCountsAreIgnored) {
+  const ReplayReport report = replay_async_text(
+      "sesp-trace v1\nmeta,mpm,2000000000,2\nstep,c,-7,1,0,-1,-1,0,0,0\n"
+      "step,c,2147483647,1,0,-1,-1,0,0,0\n");
+  EXPECT_FALSE(report.match);
+  EXPECT_EQ(report.divergence, 0u) << report.detail;
+}
+
 }  // namespace
 }  // namespace sesp

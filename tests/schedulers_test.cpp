@@ -88,7 +88,7 @@ TEST(SlowOneSchedulerTest, OnlyVictimSlowed) {
 }
 
 TEST(ScriptedSchedulerTest, FollowsScriptThenTail) {
-  ScriptedScheduler sched({{0, {Time(1), Time(5), Time(6)}}}, Duration(2));
+  ScriptedScheduler sched({{Time(1), Time(5), Time(6)}}, Duration(2));
   EXPECT_EQ(sched.next_step_time(0, std::nullopt, 0), Time(1));
   EXPECT_EQ(sched.next_step_time(0, Time(1), 1), Time(5));
   EXPECT_EQ(sched.next_step_time(0, Time(5), 2), Time(6));
@@ -96,6 +96,19 @@ TEST(ScriptedSchedulerTest, FollowsScriptThenTail) {
   EXPECT_EQ(sched.next_step_time(0, Time(6), 3), Time(8));
   // Unknown process: tail gap from the start.
   EXPECT_EQ(sched.next_step_time(9, std::nullopt, 0), Time(2));
+}
+
+// Only ids the script covers follow it; a negative or very large process id
+// and an out-of-range step index take the tail gap.
+TEST(ScriptedSchedulerTest, OutOfRangeProcessesFallBackToTail) {
+  ScriptedScheduler sched({{Time(1), Time(5)}}, Duration(2));
+  EXPECT_EQ(sched.next_step_time(-7, std::nullopt, 0), Time(2));
+  EXPECT_EQ(sched.next_step_time(INT32_MIN, Time(3), 0), Time(5));
+  EXPECT_EQ(sched.next_step_time(INT32_MAX, std::nullopt, 0), Time(2));
+  EXPECT_EQ(sched.next_step_time(1, Time(4), 1), Time(6));
+  EXPECT_EQ(sched.next_step_time(0, Time(5), -1), Time(7));
+  EXPECT_EQ(sched.next_step_time(0, Time(5), INT64_MAX), Time(7));
+  EXPECT_EQ(sched.next_step_time(0, std::nullopt, 1), Time(5));
 }
 
 TEST(FixedDelayTest, Constant) {

@@ -877,6 +877,36 @@ TEST(ServerTest, UnrepresentableInstanceIsBadRequestAndServerSurvives) {
   fs::remove_all(dir);
 }
 
+// A replay trace whose message names a deliver step past the end of the
+// trace once took the server down with SIGSEGV. The message replays as
+// never delivered: a plain mismatch, and the server keeps serving.
+TEST(ServerTest, OutOfRangeReplayTraceIsAMismatchAndServerSurvives) {
+  const fs::path dir = fresh_dir("sesp-serve-replay");
+  ServerConfig config;
+  config.journal_dir = dir.string();
+  Server server(config);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+
+  const auto replay = client.call(
+      R"({"id":2,"op":"replay","model":"async","side":"mp","s":2,"n":2,"trace":"sesp-trace v1\nmeta,mpm,2,2\nstep,c,0,1,0,-1,-1,0,0,0\nmsg,0,1,0,4000000000,-,0,0,0\n"})",
+      30'000);
+  ASSERT_TRUE(replay);
+  ASSERT_EQ(reply_status(*replay), "Ok");
+  const auto* match = replay->find("result")->find("match");
+  ASSERT_NE(match, nullptr);
+  EXPECT_TRUE(match->is_bool());
+  EXPECT_FALSE(match->boolean);
+
+  const auto health = client.call(R"({"id":3,"op":"health"})");
+  ASSERT_TRUE(health);
+  EXPECT_EQ(reply_status(*health), "Ok");
+  server.stop();
+  fs::remove_all(dir);
+}
+
 // The startup scan of --resume reads every sweep journal in the directory.
 // A frame length near SIZE_MAX once wrapped the loader's bounds check and
 // aborted the server; a journal from an older build's multi-process mode

@@ -70,8 +70,8 @@ class RecoveryScope {
       std::string error;
       journal = recovery::RunJournal::open_resume(opt.resume, &error);
       if (!journal) {
-        std::cerr << "cannot resume from " << opt.resume << ": " << error
-                  << "\n";
+        // open_resume's error already names the journal file.
+        std::cerr << "cannot resume: " << error << "\n";
         error_ = true;
         return;
       }
