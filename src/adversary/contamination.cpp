@@ -52,8 +52,8 @@ std::string ContaminationReport::to_string() const {
 ContaminationReport run_contamination_experiment(
     const ProblemSpec& spec, const TimingConstraints& base,
     const SmmAlgorithmFactory& factory, Duration c_min,
-    Duration slow_period_override) {
-  obs::Observer* const o = obs::default_observer();
+    Duration slow_period_override, const RunContext& ctx) {
+  obs::Observer* const o = ctx.resolve().observer;
   obs::Span span(o ? o->trace : nullptr, "adversary.contamination",
                  "adversary",
                  o && o->trace
@@ -79,7 +79,8 @@ ContaminationReport run_contamination_experiment(
 
   SlowOneScheduler scheduler(total, c_min, report.slowed_process,
                              report.slow_period);
-  const SmmOutcome out = run_smm_once(spec, perturbed, factory, scheduler);
+  const SmmOutcome out = run_smm_once(spec, perturbed, factory, scheduler,
+                                      SmmRunLimits{}, nullptr, o);
 
   report.completed = out.run.completed;
   report.sessions = out.verdict.sessions;
@@ -157,8 +158,9 @@ ContaminationReport run_contamination_experiment(
   baseline.model = TimingModel::kPeriodic;
   baseline.periods.assign(static_cast<std::size_t>(total), c_min);
   FixedPeriodScheduler baseline_sched(total, c_min);
-  const SmmOutcome base_out =
-      run_smm_once(spec, baseline, factory, baseline_sched);
+  const SmmOutcome base_out = run_smm_once(spec, baseline, factory,
+                                           baseline_sched, SmmRunLimits{},
+                                           nullptr, o);
   if (base_out.run.completed) {
     report.exact_available = true;
     std::vector<std::int64_t> first_divergence;  // per process, 1-based; 0 = never

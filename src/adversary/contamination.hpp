@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "model/ids.hpp"
+#include "recovery/run_context.hpp"
 #include "smm/algorithm.hpp"
 #include "timing/constraints.hpp"
 #include "util/ratio.hpp"
@@ -69,10 +70,10 @@ struct ContaminationReport {
 // Runs the slow-one perturbed schedule against `factory` and analyses the
 // trace. `c_min` is the fast period; the slowed process (port 0) gets
 // period L * c_min, matching the proof (or `slow_period_override` if
-// positive).
+// positive). ctx.observer receives the span and both runs.
 ContaminationReport run_contamination_experiment(
     const ProblemSpec& spec, const TimingConstraints& base,
     const SmmAlgorithmFactory& factory, Duration c_min,
-    Duration slow_period_override = Duration(0));
+    Duration slow_period_override = Duration(0), const RunContext& ctx = {});
 
 }  // namespace sesp

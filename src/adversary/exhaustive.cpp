@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 
 #include "exec/jobs.hpp"
 #include "exec/thread_pool.hpp"
@@ -233,13 +232,15 @@ ExhaustiveResult explore_mpm(const ProblemSpec& spec,
                              const MpmAlgorithmFactory& factory,
                              const std::vector<Duration>& gap_choices,
                              const std::vector<Duration>& delay_choices,
-                             std::int64_t max_runs) {
+                             std::int64_t max_runs, const RunContext& ctx) {
   if (gap_choices.empty() || delay_choices.empty()) {
     std::fprintf(stderr, "explore_mpm fatal: empty choice sets\n");
     std::abort();
   }
 
-  obs::Observer* const parent = obs::default_observer();
+  const RunContext resolved = ctx.resolve();
+  obs::Observer* const parent = resolved.observer;
+  recovery::Supervisor* const sup = resolved.supervisor;
   obs::Span span(parent ? parent->trace : nullptr, "adversary.explore_mpm",
                  "adversary");
 
@@ -257,7 +258,6 @@ ExhaustiveResult explore_mpm(const ProblemSpec& spec,
   for (std::size_t i = 0; i < fan_out; ++i) subtrees *= gaps;
 
   ExhaustiveResult result;
-  recovery::Supervisor* const sup = recovery::current_for_sweep();
   // A supervised walk always takes the subtree decomposition (any job
   // count): subtrees are the checkpoint granularity, and the decomposition
   // is already proven bit-identical to the serial enumeration.
@@ -268,11 +268,11 @@ ExhaustiveResult explore_mpm(const ProblemSpec& spec,
   if (!decompose) {
     if (sup != nullptr) {
       recovery::supervised_sweep(
-          "explore_mpm_serial", 1,
-          [&](std::size_t) {
+          resolved, "explore_mpm_serial", 1,
+          [&](std::size_t, obs::Observer* o) {
             return encode_exhaustive(
                 explore_subtree(spec, constraints, factory, gap_choices,
-                                delay_choices, {}, 0, max_runs, parent));
+                                delay_choices, {}, 0, max_runs, o));
           },
           [&](std::size_t, const std::string& payload) {
             result = decode_exhaustive(payload);
@@ -291,27 +291,21 @@ ExhaustiveResult explore_mpm(const ProblemSpec& spec,
       return digits;
     };
 
-    std::deque<obs::ObservationShard> shards;
-    for (std::size_t b = 0; b < subtrees; ++b) shards.emplace_back(parent);
     std::vector<ExhaustiveResult> subs(subtrees);
     recovery::supervised_sweep(
-        "explore_mpm", subtrees,
-        [&](std::size_t b) {
-          obs::Observer* const o = shards[b].observer();
-          obs::ProfileScope exec_scope(o ? o->profiler : nullptr,
-                                       obs::ProfilePhase::kExecTask);
+        resolved, "explore_mpm", subtrees,
+        [&](std::size_t b, obs::Observer* o) {
           return encode_exhaustive(explore_subtree(
               spec, constraints, factory, gap_choices, delay_choices,
               digits_of(b), fan_out, max_runs, o));
         },
         [&](std::size_t b, const std::string& payload) {
-          shards[b].merge_into_parent();
           subs[b] = decode_exhaustive(payload);
         });
 
     // A drained interrupt leaves subtrees unexplored; return the partial
     // (complete=false, runs=0) aggregate — the tools never print it.
-    if (recovery::run_interrupted()) return result;
+    if (resolved.interrupted()) return result;
 
     // Serial-order accounting: spend the budget subtree by subtree. A
     // subtree the budget cuts into is re-run serially with exactly the

@@ -27,6 +27,7 @@
 
 #include "model/ids.hpp"
 #include "mpm/algorithm.hpp"
+#include "recovery/run_context.hpp"
 #include "timing/constraints.hpp"
 #include "util/ratio.hpp"
 
@@ -56,11 +57,14 @@ struct ExhaustiveResult {
 // drawn from `gap_choices` (per decision, independently) and each message's
 // delay from `delay_choices`. Choices must all be admissible for the model;
 // every run is verified. Enumeration stops (complete=false) after max_runs.
+// ctx.observer receives the walk's merged metrics and trace; with
+// ctx.supervisor the subtrees are checkpointed slots.
 ExhaustiveResult explore_mpm(const ProblemSpec& spec,
                              const TimingConstraints& constraints,
                              const MpmAlgorithmFactory& factory,
                              const std::vector<Duration>& gap_choices,
                              const std::vector<Duration>& delay_choices,
-                             std::int64_t max_runs = 2'000'000);
+                             std::int64_t max_runs = 2'000'000,
+                             const RunContext& ctx = {});
 
 }  // namespace sesp

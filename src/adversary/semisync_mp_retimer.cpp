@@ -24,7 +24,7 @@ std::int64_t semisync_mp_safe_B(const TimingConstraints& constraints) {
 
 SporadicRetimingResult semisync_mp_retime(
     const TimedComputation& trace, const ProblemSpec& spec,
-    const TimingConstraints& constraints) {
+    const TimingConstraints& constraints, const RunContext& ctx) {
   const std::int64_t B = semisync_mp_safe_B(constraints);
   if (B < 1) {
     SporadicRetimingResult r;
@@ -35,12 +35,12 @@ SporadicRetimingResult semisync_mp_retime(
   // Base period 4*c1: the scaled delay d2 * (2c1 / 4c1) = d2/2 sits exactly
   // mid-window, the [0, d2] analogue of Theorem 6.5's K.
   return half_compression_retime(trace, spec, constraints,
-                                 constraints.c1 * 4, constraints.d2, B);
+                                 constraints.c1 * 4, constraints.d2, B, ctx);
 }
 
 SporadicRetimingResult attack_semisync_mpm(
     const ProblemSpec& spec, const TimingConstraints& constraints,
-    const MpmAlgorithmFactory& factory) {
+    const MpmAlgorithmFactory& factory, const RunContext& ctx) {
   const std::int64_t B = semisync_mp_safe_B(constraints);
   if (B < 1) {
     SporadicRetimingResult r;
@@ -49,8 +49,10 @@ SporadicRetimingResult attack_semisync_mpm(
   }
   FixedPeriodScheduler round_robin(spec.n, constraints.c1 * 4);
   FixedDelay delays(constraints.d2);
+  const RunContext c = ctx.resolve();
   const MpmOutcome out =
-      run_mpm_once(spec, constraints, factory, round_robin, delays);
+      run_mpm_once(spec, constraints, factory, round_robin, delays,
+                   MpmRunLimits{}, nullptr, c.observer);
   if (!out.run.completed) {
     SporadicRetimingResult r;
     r.failure = "base run did not terminate";
@@ -61,7 +63,7 @@ SporadicRetimingResult attack_semisync_mpm(
     r.failure = "base run inadmissible: " + out.verdict.admissibility_violation;
     return r;
   }
-  return semisync_mp_retime(out.run.trace, spec, constraints);
+  return semisync_mp_retime(out.run.trace, spec, constraints, c);
 }
 
 }  // namespace sesp

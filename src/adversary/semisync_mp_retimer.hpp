@@ -46,11 +46,13 @@ std::int64_t semisync_mp_safe_B(const TimingConstraints& constraints);
 // identical, only the admissibility target differs.
 SporadicRetimingResult semisync_mp_retime(const TimedComputation& trace,
                                           const ProblemSpec& spec,
-                                          const TimingConstraints& constraints);
+                                          const TimingConstraints& constraints,
+                                          const RunContext& ctx = {});
 
 // Convenience driver: runs `factory` under the base schedule, then retimes.
 SporadicRetimingResult attack_semisync_mpm(const ProblemSpec& spec,
                                            const TimingConstraints& constraints,
-                                           const MpmAlgorithmFactory& factory);
+                                           const MpmAlgorithmFactory& factory,
+                                           const RunContext& ctx = {});
 
 }  // namespace sesp

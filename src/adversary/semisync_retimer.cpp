@@ -115,8 +115,8 @@ std::int64_t semisync_safe_B(const ProblemSpec& spec, Duration c1,
 SemiSyncRetimingResult semisync_retime(const TimedComputation& trace,
                                        const ProblemSpec& spec,
                                        const TimingConstraints& constraints,
-                                       std::int64_t B) {
-  obs::Observer* const o = obs::default_observer();
+                                       std::int64_t B, const RunContext& ctx) {
+  obs::Observer* const o = ctx.resolve().observer;
   obs::Span span(o ? o->trace : nullptr, "adversary.semisync_retime",
                  "adversary");
   const Duration c1 = constraints.c1;
@@ -374,15 +374,18 @@ SemiSyncRetimingResult semisync_retime(const TimedComputation& trace,
 SemiSyncRetimingResult attack_semisync_smm(const ProblemSpec& spec,
                                            const TimingConstraints& constraints,
                                            const SmmAlgorithmFactory& factory,
-                                           std::int64_t B) {
+                                           std::int64_t B,
+                                           const RunContext& ctx) {
+  const RunContext c = ctx.resolve();
   const std::int32_t total = smm_total_processes(spec.n, spec.b);
   FixedPeriodScheduler lockstep(total, constraints.c2);
-  const SmmOutcome out = run_smm_once(spec, constraints, factory, lockstep);
+  const SmmOutcome out = run_smm_once(spec, constraints, factory, lockstep,
+                                      SmmRunLimits{}, nullptr, c.observer);
   if (!out.run.completed) {
     SemiSyncRetimingResult r = fail("lockstep run did not terminate");
     return r;
   }
-  return semisync_retime(out.run.trace, spec, constraints, B);
+  return semisync_retime(out.run.trace, spec, constraints, B, c);
 }
 
 TimingConstraints async_attack_constraints(const ProblemSpec& spec) {
@@ -394,8 +397,10 @@ TimingConstraints async_attack_constraints(const ProblemSpec& spec) {
 }
 
 SemiSyncRetimingResult attack_async_smm(const ProblemSpec& spec,
-                                        const SmmAlgorithmFactory& factory) {
-  return attack_semisync_smm(spec, async_attack_constraints(spec), factory);
+                                        const SmmAlgorithmFactory& factory,
+                                        const RunContext& ctx) {
+  return attack_semisync_smm(spec, async_attack_constraints(spec), factory, 0,
+                             ctx);
 }
 
 }  // namespace sesp

@@ -36,6 +36,7 @@
 
 #include "model/ids.hpp"
 #include "model/timed_computation.hpp"
+#include "recovery/run_context.hpp"
 #include "smm/algorithm.hpp"
 #include "timing/admissibility.hpp"
 #include "timing/constraints.hpp"
@@ -74,18 +75,21 @@ std::int64_t semisync_safe_B(const ProblemSpec& spec, Duration c1,
                              Duration c2);
 
 // Applies the construction to a lockstep trace (every process with period
-// exactly c2). `B` == 0 selects semisync_safe_B.
+// exactly c2). `B` == 0 selects semisync_safe_B. ctx.observer receives the
+// retime span and the adversary.retimer.iterations count.
 SemiSyncRetimingResult semisync_retime(const TimedComputation& trace,
                                        const ProblemSpec& spec,
                                        const TimingConstraints& constraints,
-                                       std::int64_t B = 0);
+                                       std::int64_t B = 0,
+                                       const RunContext& ctx = {});
 
 // Convenience driver: runs `factory` under the lockstep schedule and
 // retimes the resulting trace.
 SemiSyncRetimingResult attack_semisync_smm(const ProblemSpec& spec,
                                            const TimingConstraints& constraints,
                                            const SmmAlgorithmFactory& factory,
-                                           std::int64_t B = 0);
+                                           std::int64_t B = 0,
+                                           const RunContext& ctx = {});
 
 // The asynchronous SM round lower bound of [2] (Theorem 1 there, which the
 // Theorem 5.1 proof follows): (s-1)*floor(log_b n) rounds are necessary.
@@ -97,7 +101,8 @@ SemiSyncRetimingResult attack_semisync_smm(const ProblemSpec& spec,
 // admissible asynchronous computation with fewer than s sessions against an
 // algorithm that terminated in fewer than B*(s-1) rounds.
 SemiSyncRetimingResult attack_async_smm(const ProblemSpec& spec,
-                                        const SmmAlgorithmFactory& factory);
+                                        const SmmAlgorithmFactory& factory,
+                                        const RunContext& ctx = {});
 
 // The synthetic constants attack_async_smm uses (exposed for certificate
 // packaging and tests).

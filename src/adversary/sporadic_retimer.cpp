@@ -48,21 +48,22 @@ std::string SporadicRetimingResult::to_string() const {
 
 SporadicRetimingResult sporadic_retime(const TimedComputation& trace,
                                        const ProblemSpec& spec,
-                                       const TimingConstraints& constraints) {
+                                       const TimingConstraints& constraints,
+                                       const RunContext& ctx) {
   const Duration c1 = constraints.c1;
   const Duration u = constraints.delay_uncertainty();
   const std::int64_t B = (u / (c1 * 4)).floor();
   if (B < 1) return fail("B < 1: the bound degenerates to c1 per session");
   const Ratio K = bounds::sporadic_K(c1, constraints.d1, constraints.d2);
   return half_compression_retime(trace, spec, constraints, K, constraints.d2,
-                                 B);
+                                 B, ctx);
 }
 
 SporadicRetimingResult half_compression_retime(
     const TimedComputation& trace, const ProblemSpec& spec,
     const TimingConstraints& check_constraints, const Ratio& base_period,
-    const Ratio& expected_delay, std::int64_t B) {
-  obs::Observer* const o = obs::default_observer();
+    const Ratio& expected_delay, std::int64_t B, const RunContext& ctx) {
+  obs::Observer* const o = ctx.resolve().observer;
   obs::Span obs_span(o ? o->trace : nullptr,
                      "adversary.half_compression_retime", "adversary");
   const Duration c1 = check_constraints.c1;
@@ -229,17 +230,20 @@ SporadicRetimingResult half_compression_retime(
 
 SporadicRetimingResult attack_sporadic_mpm(const ProblemSpec& spec,
                                            const TimingConstraints& constraints,
-                                           const MpmAlgorithmFactory& factory) {
+                                           const MpmAlgorithmFactory& factory,
+                                           const RunContext& ctx) {
+  const RunContext c = ctx.resolve();
   const Ratio K =
       bounds::sporadic_K(constraints.c1, constraints.d1, constraints.d2);
   FixedPeriodScheduler round_robin(spec.n, K);
   FixedDelay delays(constraints.d2);
   const MpmOutcome out =
-      run_mpm_once(spec, constraints, factory, round_robin, delays);
+      run_mpm_once(spec, constraints, factory, round_robin, delays,
+                   MpmRunLimits{}, nullptr, c.observer);
   if (!out.run.completed) return fail("base run did not terminate");
   if (!out.verdict.admissible)
     return fail("base run inadmissible: " + out.verdict.admissibility_violation);
-  return sporadic_retime(out.run.trace, spec, constraints);
+  return sporadic_retime(out.run.trace, spec, constraints, c);
 }
 
 }  // namespace sesp

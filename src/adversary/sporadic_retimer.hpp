@@ -30,6 +30,7 @@
 #include "model/ids.hpp"
 #include "model/timed_computation.hpp"
 #include "mpm/algorithm.hpp"
+#include "recovery/run_context.hpp"
 #include "timing/admissibility.hpp"
 #include "timing/constraints.hpp"
 
@@ -60,10 +61,12 @@ struct SporadicRetimingResult {
 };
 
 // Applies the construction to a trace produced by the round-robin(K) /
-// delay-d2 schedule.
+// delay-d2 schedule. ctx.observer receives the retime span and the
+// adversary.retimer.iterations count.
 SporadicRetimingResult sporadic_retime(const TimedComputation& trace,
                                        const ProblemSpec& spec,
-                                       const TimingConstraints& constraints);
+                                       const TimingConstraints& constraints,
+                                       const RunContext& ctx = {});
 
 // The construction's parameterized core, shared with the semi-synchronous
 // MP variant (adversary/semisync_mp_retimer.hpp): expects a trace from the
@@ -73,11 +76,12 @@ SporadicRetimingResult sporadic_retime(const TimedComputation& trace,
 SporadicRetimingResult half_compression_retime(
     const TimedComputation& trace, const ProblemSpec& spec,
     const TimingConstraints& check_constraints, const Ratio& base_period,
-    const Ratio& expected_delay, std::int64_t B);
+    const Ratio& expected_delay, std::int64_t B, const RunContext& ctx = {});
 
 // Convenience driver: runs `factory` under the base schedule, then retimes.
 SporadicRetimingResult attack_sporadic_mpm(const ProblemSpec& spec,
                                            const TimingConstraints& constraints,
-                                           const MpmAlgorithmFactory& factory);
+                                           const MpmAlgorithmFactory& factory,
+                                           const RunContext& ctx = {});
 
 }  // namespace sesp

@@ -250,7 +250,7 @@ std::optional<TimingModel> native_model(const std::string& algorithm) {
   return std::nullopt;
 }
 
-GeneratedRun run_case(const CaseDescriptor& c) {
+GeneratedRun run_case(const CaseDescriptor& c, obs::Observer* observer) {
   GeneratedRun out;
   out.expect_solves = true;
   const std::string alg = resolved_algorithm(c);
@@ -273,7 +273,7 @@ GeneratedRun run_case(const CaseDescriptor& c) {
       const auto scheduler =
           make_scheduler(c, smm_total_processes(c.spec.n, c.spec.b));
       finish("smm", run_smm_once(c.spec, c.constraints, *factory, *scheduler,
-                                 limits));
+                                 limits, nullptr, observer));
     } else {
       out.error = "unknown smm algorithm: " + alg;
     }
@@ -283,7 +283,7 @@ GeneratedRun run_case(const CaseDescriptor& c) {
     const auto scheduler = make_scheduler(c, c.spec.n);
     const auto delays = make_delays(c);
     finish("mpm", run_mpm_once(c.spec, c.constraints, *factory, *scheduler,
-                               *delays, limits));
+                               *delays, limits, nullptr, observer));
   } else {
     out.error = "unknown mpm algorithm: " + alg;
   }

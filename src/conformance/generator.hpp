@@ -100,7 +100,10 @@ struct GeneratedRun {
 // Re-executes the case end to end: builds the factory, scheduler and (MPM)
 // delay strategy from the descriptor and runs the matching simulator.
 // Deterministic: equal descriptors produce byte-identical traces.
-GeneratedRun run_case(const CaseDescriptor& c);
+// `observer` (optional, unowned) instruments the run and its verification;
+// when null the process default observer applies.
+GeneratedRun run_case(const CaseDescriptor& c,
+                      obs::Observer* observer = nullptr);
 
 // All five models / both substrates, in the fixed order used by harness
 // cell indexing and report digests.

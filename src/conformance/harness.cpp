@@ -4,8 +4,6 @@
 #include <sstream>
 
 #include "conformance/witness.hpp"
-#include "exec/jobs.hpp"
-#include "exec/thread_pool.hpp"
 #include "model/trace_io.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -97,8 +95,9 @@ std::string ConformanceReport::summary() const {
 }
 
 ConformanceReport run_conformance(const ConformanceConfig& config,
-                                  obs::Observer* observer) {
-  obs::Observer* parent = obs::resolve(observer);
+                                  const RunContext& ctx) {
+  const RunContext resolved = ctx.resolve();
+  obs::Observer* const parent = resolved.observer;
   std::optional<obs::Span> span;
   if (parent && parent->trace)
     span.emplace(parent->trace, "conformance.run", "conformance",
@@ -128,28 +127,24 @@ ConformanceReport run_conformance(const ConformanceConfig& config,
     return c;
   };
 
-  // Several reused layers (replay, retimers, verify) observe through the
-  // process default observer, which is single-writer; detach it while
-  // worker threads run and restore it for the serial phases. Results travel
-  // through the journal codec in both the plain and the supervised path, so
-  // a checkpointed campaign resumes to a byte-identical report.
-  obs::Observer* saved = obs::set_default_observer(nullptr);
+  // Each case observes through its own shard, merged in case order. Results
+  // travel through the journal codec in both the plain and the supervised
+  // path, so a checkpointed campaign resumes to a byte-identical report.
   recovery::supervised_sweep(
-      "conformance_cases", total,
-      [&](std::size_t i) {
-        return encode_case_result(check_case(descriptor_at(i),
-                                             config.oracles));
+      resolved, "conformance_cases", total,
+      [&](std::size_t i, obs::Observer* o) {
+        return encode_case_result(
+            check_case(descriptor_at(i), config.oracles, RunContext{o}));
       },
       [&](std::size_t i, const std::string& payload) {
         results[i] = decode_case_result(payload);
       },
       config.jobs);
-  obs::set_default_observer(saved);
 
   // A drained interrupt leaves pending cases unchecked; the partial report
   // is never printed (the tools exit kExitInterrupted), so skip the
   // aggregation and the minimizer outright.
-  if (recovery::run_interrupted()) return report;
+  if (resolved.interrupted()) return report;
 
   // Serial aggregation in case order — the digest and the recorded failure
   // list are independent of the job count by construction.
@@ -200,10 +195,10 @@ ConformanceReport run_conformance(const ConformanceConfig& config,
 
   if (config.minimize) {
     for (FailureRecord& f : report.failures) {
-      f.shrink = shrink_case(f.descriptor, config.oracles);
+      f.shrink = shrink_case(f.descriptor, config.oracles, RunContext{parent});
       const CaseDescriptor& best =
           f.shrink ? f.shrink->minimized : f.descriptor;
-      GeneratedRun run = run_case(best);
+      GeneratedRun run = run_case(best, parent);
       if (run.trace) {
         Witness w;
         w.descriptor = best;

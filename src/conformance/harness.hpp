@@ -12,12 +12,12 @@
 // case_seed(seed, cell, index), results land in per-case slots, and
 // aggregation/shrinking run serially in index order.
 //
-// Observability: the harness records a "conformance.run" span and the
-// conformance.{cases,failures} counters on the resolved observer from the
-// calling thread only. The process default observer is detached for the
-// duration of the parallel phase — several layers the oracles reuse
-// (replay, retimers, verify) observe through the *default* observer, which
-// is not shard-mergeable from worker threads.
+// Observability: every case task observes through its own ObservationShard
+// of ctx.observer, merged in case order, so the merged metrics, trace and
+// profile are job-count invariant like the report. The harness itself
+// records a "conformance.run" span and the conformance.{cases,failures}
+// counters from the calling thread. With ctx.supervisor the cases are
+// checkpointed slots (docs/robustness.md).
 
 #include <cstdint>
 #include <optional>
@@ -27,7 +27,7 @@
 #include "conformance/generator.hpp"
 #include "conformance/oracles.hpp"
 #include "conformance/shrinker.hpp"
-#include "obs/observer.hpp"
+#include "recovery/run_context.hpp"
 
 namespace sesp::conformance {
 
@@ -78,6 +78,6 @@ struct ConformanceReport {
 };
 
 ConformanceReport run_conformance(const ConformanceConfig& config,
-                                  obs::Observer* observer = nullptr);
+                                  const RunContext& ctx = {});
 
 }  // namespace sesp::conformance

@@ -21,7 +21,8 @@ void fail(CaseResult& r, std::string oracle, std::string detail) {
 
 void check_trace_io_and_replay(const CaseDescriptor& c,
                                const TimedComputation& trace,
-                               const Verdict& verdict, CaseResult& r) {
+                               const Verdict& verdict, obs::Observer* o,
+                               CaseResult& r) {
   const std::string text = to_text(trace);
   std::string error;
   const auto parsed = trace_from_text(text, &error);
@@ -47,10 +48,10 @@ void check_trace_io_and_replay(const CaseDescriptor& c,
   ReplayReport report;
   if (c.substrate == Substrate::kSharedMemory) {
     const auto factory = make_smm_factory(alg);
-    report = replay_smm(*parsed, c.spec, c.constraints, *factory);
+    report = replay_smm(*parsed, c.spec, c.constraints, *factory, o);
   } else {
     const auto factory = make_mpm_factory(alg);
-    report = replay_mpm(*parsed, c.spec, c.constraints, *factory);
+    report = replay_mpm(*parsed, c.spec, c.constraints, *factory, o);
   }
   if (!report.match) {
     std::ostringstream os;
@@ -61,7 +62,7 @@ void check_trace_io_and_replay(const CaseDescriptor& c,
   }
   // The re-verified verdict of the round-tripped trace must reproduce the
   // original verdict bit for bit.
-  const Verdict again = verify(*parsed, c.spec, c.constraints);
+  const Verdict again = verify(*parsed, c.spec, c.constraints, o);
   if (again.admissible != verdict.admissible ||
       again.sessions != verdict.sessions || again.solves != verdict.solves ||
       again.all_ports_idle != verdict.all_ports_idle ||
@@ -141,12 +142,12 @@ void check_scaling(const CaseDescriptor& c, const TimedComputation& trace,
 }
 
 void check_retimer(const CaseDescriptor& c, const TimedComputation& trace,
-                   const Verdict& verdict, CaseResult& r) {
+                   const Verdict& verdict, obs::Observer* o, CaseResult& r) {
   if (c.substrate == Substrate::kSharedMemory &&
       c.model == TimingModel::kSemiSynchronous && c.schedule == 1) {
     // Lockstep semi-synchronous SMM case: apply the Theorem 5.1 reordering.
     const SemiSyncRetimingResult res =
-        semisync_retime(trace, c.spec, c.constraints);
+        semisync_retime(trace, c.spec, c.constraints, 0, RunContext{o});
     if (!res.constructed) return;  // B too small for this instance — skip
     if (!res.order_consistent || !res.replay_ok ||
         !res.admissibility.admissible) {
@@ -169,7 +170,7 @@ void check_retimer(const CaseDescriptor& c, const TimedComputation& trace,
     // cases pay for it.
     const auto factory = make_mpm_factory(resolved_algorithm(c));
     const SporadicRetimingResult res =
-        attack_sporadic_mpm(c.spec, c.constraints, *factory);
+        attack_sporadic_mpm(c.spec, c.constraints, *factory, RunContext{o});
     if (!res.constructed) return;  // B = floor(u/4c1) < 1 — skip
     if (!res.order_consistent || !res.receives_preserved ||
         !res.admissibility.admissible) {
@@ -273,9 +274,11 @@ TimingConstraints scale_constraints(const TimingConstraints& constraints,
   return out;
 }
 
-CaseResult check_case(const CaseDescriptor& c, const OracleOptions& options) {
+CaseResult check_case(const CaseDescriptor& c, const OracleOptions& options,
+                      const RunContext& ctx) {
+  obs::Observer* const o = ctx.resolve().observer;
   CaseResult r;
-  GeneratedRun run = run_case(c);
+  GeneratedRun run = run_case(c, o);
   if (!run.ok || !run.trace) {
     fail(r, "generator", run.error.empty() ? "run failed" : run.error);
     return r;
@@ -296,7 +299,7 @@ CaseResult check_case(const CaseDescriptor& c, const OracleOptions& options) {
   }
 
   if (options.check_replay)
-    check_trace_io_and_replay(c, trace, run.verdict, r);
+    check_trace_io_and_replay(c, trace, run.verdict, o, r);
   if (options.check_reference)
     check_references(c, trace, run.verdict, options.mutate_reference, r);
   // Hierarchy and metamorphic oracles only make claims about admissible
@@ -306,7 +309,7 @@ CaseResult check_case(const CaseDescriptor& c, const OracleOptions& options) {
       check_hierarchy(c, trace, options.check_reference,
                       options.mutate_reference, r);
     if (options.check_scaling) check_scaling(c, trace, run.verdict, r);
-    if (options.check_retimer) check_retimer(c, trace, run.verdict, r);
+    if (options.check_retimer) check_retimer(c, trace, run.verdict, o, r);
   }
   return r;
 }

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "conformance/generator.hpp"
+#include "recovery/run_context.hpp"
 #include "timing/constraints.hpp"
 
 namespace sesp::conformance {
@@ -77,6 +78,9 @@ TimingConstraints scale_constraints(const TimingConstraints& constraints,
                                     const Ratio& factor);
 
 // Runs the descriptor and evaluates the full oracle stack.
-CaseResult check_case(const CaseDescriptor& c, const OracleOptions& options);
+// ctx.observer instruments every run, replay, verification and retiming
+// the oracles perform.
+CaseResult check_case(const CaseDescriptor& c, const OracleOptions& options,
+                      const RunContext& ctx = {});
 
 }  // namespace sesp::conformance

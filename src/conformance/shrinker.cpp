@@ -85,8 +85,9 @@ std::vector<CaseDescriptor> candidates(const CaseDescriptor& c) {
 
 std::optional<ShrinkOutcome> shrink_case(const CaseDescriptor& failing,
                                          const OracleOptions& options,
+                                         const RunContext& ctx,
                                          std::int64_t max_attempts) {
-  const CaseResult base = check_case(failing, options);
+  const CaseResult base = check_case(failing, options, ctx);
   if (base.ok()) return std::nullopt;
 
   ShrinkOutcome out;
@@ -101,7 +102,7 @@ std::optional<ShrinkOutcome> shrink_case(const CaseDescriptor& failing,
     for (CaseDescriptor& cand : candidates(out.minimized)) {
       if (out.attempts >= max_attempts) break;
       ++out.attempts;
-      const CaseResult res = check_case(cand, options);
+      const CaseResult res = check_case(cand, options, ctx);
       if (res.ok() || res.first_oracle() != out.oracle) continue;
       if (res.ran && res.steps > out.steps) continue;  // don't grow the trace
       out.minimized = std::move(cand);

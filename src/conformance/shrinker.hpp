@@ -31,6 +31,7 @@ struct ShrinkOutcome {
 // for a passing case is a caller bug worth surfacing.
 std::optional<ShrinkOutcome> shrink_case(const CaseDescriptor& failing,
                                          const OracleOptions& options,
+                                         const RunContext& ctx = {},
                                          std::int64_t max_attempts = 200);
 
 }  // namespace sesp::conformance

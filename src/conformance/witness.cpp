@@ -122,9 +122,11 @@ std::optional<Witness> parse_witness(const std::string& text,
   return w;
 }
 
-WitnessReplay replay_witness(const Witness& w, const OracleOptions& options) {
+WitnessReplay replay_witness(const Witness& w, const OracleOptions& options,
+                             const RunContext& ctx) {
   WitnessReplay out;
-  const CaseResult result = check_case(w.descriptor, options);
+  const RunContext resolved = ctx.resolve();
+  const CaseResult result = check_case(w.descriptor, options, resolved);
   out.oracle = result.first_oracle();
   if (result.ok()) {
     out.detail = "case no longer fails";
@@ -136,7 +138,7 @@ WitnessReplay replay_witness(const Witness& w, const OracleOptions& options) {
     return out;
   }
   // The regenerated computation must be the recorded one, byte for byte.
-  GeneratedRun run = run_case(w.descriptor);
+  GeneratedRun run = run_case(w.descriptor, resolved.observer);
   if (run.trace && to_text(*run.trace) != w.trace_text) {
     out.detail = "regenerated trace differs from the recorded witness trace";
     return out;

@@ -42,6 +42,7 @@ struct WitnessReplay {
 // Re-executes the witness's descriptor and compares against the recorded
 // failure: the case must still fail, with the same first oracle, and the
 // regenerated trace must serialize byte-identically to the embedded one.
-WitnessReplay replay_witness(const Witness& w, const OracleOptions& options);
+WitnessReplay replay_witness(const Witness& w, const OracleOptions& options,
+                             const RunContext& ctx = {});
 
 }  // namespace sesp::conformance

@@ -120,8 +120,8 @@ bool line_error(std::string* error, std::size_t line_no,
                               std::string(what));
 }
 
-// Reads the fields of a step line after its record name. Ids, ports and
-// vars are read as int64 and narrowed to their types.
+// Reads the fields of a step line after its record name. Every field is
+// read in its own type, so an id, port or var outside int32 is malformed.
 bool parse_step(std::string_view rest, StepRecord* st, std::string* error,
                 std::size_t line_no) {
   const std::string_view kind = next_field(rest);
@@ -137,15 +137,13 @@ bool parse_step(std::string_view rest, StepRecord* st, std::string* error,
   // The time is read whatever the other fields hold: a fraction that
   // cannot be normalized throws ArithmeticOverflow, never a parse error.
   const bool time_ok = parse_ratio(f[1], &st->time);
-  std::int64_t process = 0, port = 0, var = 0, idle = 0;
-  if (!time_ok || !parse_int(f[0], &process) || !parse_int(f[2], &port) ||
-      !parse_int(f[3], &var) || !parse_int(f[4], &st->delivered) ||
-      !parse_int(f[5], &idle) || !parse_int(f[6], &st->value_before_digest) ||
+  std::int64_t idle = 0;
+  if (!time_ok || !parse_int(f[0], &st->process) ||
+      !parse_int(f[2], &st->port) || !parse_int(f[3], &st->var) ||
+      !parse_int(f[4], &st->delivered) || !parse_int(f[5], &idle) ||
+      !parse_int(f[6], &st->value_before_digest) ||
       !parse_int(f[7], &st->value_after_digest))
     return line_error(error, line_no, "malformed step fields");
-  st->process = static_cast<ProcessId>(process);
-  st->port = static_cast<PortIndex>(port);
-  st->var = static_cast<VarId>(var);
   st->idle_after = idle != 0;
   return true;
 }
@@ -157,8 +155,8 @@ bool parse_msg(std::string_view rest, MessageRecord* m, std::string* error,
                std::size_t line_no) {
   std::string_view f[8];
   for (std::string_view& field : f) field = next_field(rest);
-  std::int64_t sender = 0, recipient = 0, done = 0;
-  if (!parse_int(f[0], &sender) || !parse_int(f[1], &recipient) ||
+  std::int64_t done = 0;
+  if (!parse_int(f[0], &m->sender) || !parse_int(f[1], &m->recipient) ||
       !parse_int(f[2], &m->send_step) || !parse_int(f[5], &m->session) ||
       !parse_int(f[6], &m->steps) || !parse_int(f[7], &done))
     return line_error(error, line_no, "malformed msg fields");
@@ -166,8 +164,6 @@ bool parse_msg(std::string_view rest, MessageRecord* m, std::string* error,
     return line_error(error, line_no, "malformed deliver step");
   if (!parse_step_index(f[4], &m->receive_step))
     return line_error(error, line_no, "malformed receive step");
-  m->sender = static_cast<ProcessId>(sender);
-  m->recipient = static_cast<ProcessId>(recipient);
   m->done = done != 0;
   return true;
 }
@@ -239,8 +235,8 @@ std::optional<TimedComputation> trace_from_text(const std::string& text,
     set_error(error, "malformed meta line");
     return std::nullopt;
   }
-  std::int64_t procs = 0;
-  std::int64_t ports = 0;
+  std::int32_t procs = 0;
+  std::int32_t ports = 0;
   if (!parse_int(next_field(line), &procs) ||
       !parse_int(next_field(line), &ports)) {
     set_error(error, "malformed meta counts");
@@ -249,8 +245,7 @@ std::optional<TimedComputation> trace_from_text(const std::string& text,
 
   TimedComputation trace(substrate == "smm" ? Substrate::kSharedMemory
                                             : Substrate::kMessagePassing,
-                         static_cast<std::int32_t>(procs),
-                         static_cast<std::int32_t>(ports));
+                         procs, ports);
 
   std::size_t line_no = 2;
   while (next_line(rest, &line)) {

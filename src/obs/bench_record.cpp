@@ -22,30 +22,6 @@ BenchRecorder::~BenchRecorder() {
 
 void BenchRecorder::add_row(PerfRow row) { rows_.push_back(std::move(row)); }
 
-void BenchRecorder::note(const std::string& key, double value) {
-  Note n;
-  n.key = key;
-  n.kind = Note::Kind::kDouble;
-  n.number = value;
-  notes_.push_back(std::move(n));
-}
-
-void BenchRecorder::note(const std::string& key, std::int64_t value) {
-  Note n;
-  n.key = key;
-  n.kind = Note::Kind::kInt;
-  n.integer = value;
-  notes_.push_back(std::move(n));
-}
-
-void BenchRecorder::note(const std::string& key, const std::string& value) {
-  Note n;
-  n.key = key;
-  n.kind = Note::Kind::kString;
-  n.text = value;
-  notes_.push_back(std::move(n));
-}
-
 std::string BenchRecorder::output_path() const {
   const char* dir = std::getenv("SESP_BENCH_JSON_DIR");
   std::string path = dir && *dir ? std::string(dir) + "/" : std::string();
@@ -78,16 +54,9 @@ std::string BenchRecorder::render(bool ok) const {
     w.end_object();
   }
   w.end_array();
+  // No bench records scalar notes; the member stays for the schema.
   w.key("notes");
   w.begin_object();
-  for (const Note& n : notes_) {
-    w.key(n.key);
-    switch (n.kind) {
-      case Note::Kind::kDouble: w.value(n.number); break;
-      case Note::Kind::kInt: w.value(n.integer); break;
-      case Note::Kind::kString: w.value(n.text); break;
-    }
-  }
   w.end_object();
   w.key("metrics");
   metrics_.write_json(w);

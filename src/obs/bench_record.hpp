@@ -15,7 +15,7 @@
 //                "lower_approx": 1.5, ..., "solved": true,
 //                "admissible": true, "upper_ok": true,
 //                "lower_reached": true}, ... ],
-//     "notes": { ... },            // bench-specific scalars
+//     "notes": {},                 // always empty; kept for the schema
 //     "metrics": { ... }           // full MetricsRegistry dump
 //   }
 //
@@ -69,10 +69,6 @@ class BenchRecorder {
   Observer& observer() noexcept { return observer_; }
 
   void add_row(PerfRow row);
-  // Bench-specific scalar facts, written under "notes" in insertion order.
-  void note(const std::string& key, double value);
-  void note(const std::string& key, std::int64_t value);
-  void note(const std::string& key, const std::string& value);
 
   // Writes BENCH_<name>.json and returns the process exit status (0 iff
   // ok). Idempotent: the first call wins — both for the record on disk and
@@ -90,17 +86,6 @@ class BenchRecorder {
   Observer observer_;
   Observer* previous_default_ = nullptr;
   std::vector<PerfRow> rows_;
-  // Insertion-ordered typed notes, emitted through the one JsonWriter pass
-  // in render() — never spliced into the text afterwards.
-  struct Note {
-    enum class Kind : std::uint8_t { kDouble, kInt, kString };
-    std::string key;
-    Kind kind = Kind::kDouble;
-    double number = 0.0;
-    std::int64_t integer = 0;
-    std::string text;
-  };
-  std::vector<Note> notes_;
   bool finished_ = false;
   bool first_ok_ = false;
 };

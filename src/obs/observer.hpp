@@ -11,11 +11,14 @@
 // null: metrics-only observation (the bench records) skips all span
 // bookkeeping; trace-only observation skips the counters.
 //
-// A process-wide *default* observer (null unless installed) lets the layers
-// that own no observer pointer — the worst-case/degradation drivers, the
-// retimers, the exhaustive enumerator, benches via BenchRecorder — pick up
-// instrumentation without widening every signature. Simulators resolve
-// explicit-or-default once per run.
+// Observers are passed explicitly: to a single run as its `observer`
+// argument, to sweeps, retimers, the exhaustive enumerator and conformance
+// campaigns in a RunContext (recovery/run_context.hpp). A process-wide
+// *default* observer (null unless installed, by BenchRecorder or the
+// benchmark harness) is only the entry-boundary fallback: resolve() picks
+// it when a public entry point is handed no observer. Below the entry
+// point, observers travel explicitly (sweep tasks get shards), so a null
+// observer there means the default was null too.
 
 #include <cstdint>
 #include <optional>
@@ -65,8 +68,7 @@ struct Observer {
 
 // Process-wide default observer; null until installed. Returns the previous
 // value so scopes can save/restore (see BenchRecorder). Install/uninstall
-// from the main thread only; parallel sweep tasks never touch the default —
-// they observe through task-private ObservationShards.
+// from the main thread only, outside any run; read only through resolve().
 Observer* default_observer() noexcept;
 Observer* set_default_observer(Observer* observer) noexcept;
 
@@ -107,7 +109,8 @@ class ObservationShard {
   Observer observer_;
 };
 
-// Explicit-or-default resolution used at the top of every run loop.
+// Explicit-or-default resolution at a public entry point (the simulators,
+// verify, RunContext::resolve).
 inline Observer* resolve(Observer* explicit_observer) noexcept {
   return explicit_observer ? explicit_observer : default_observer();
 }

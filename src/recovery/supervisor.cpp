@@ -4,6 +4,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <thread>
 #include <vector>
 
@@ -24,8 +25,6 @@ namespace {
 volatile std::sig_atomic_t g_signal_stop = 0;
 
 void signal_handler(int) { g_signal_stop = 1; }
-
-Supervisor* g_current = nullptr;
 
 std::int64_t stop_after_from_env() {
   const char* env = std::getenv("SESP_STOP_AFTER");
@@ -81,16 +80,7 @@ Supervisor::~Supervisor() {
     std::signal(SIGINT, saved_sigint_);
     std::signal(SIGTERM, saved_sigterm_);
   }
-  if (g_current == this) g_current = nullptr;
 }
-
-Supervisor* Supervisor::install(Supervisor* supervisor) noexcept {
-  Supervisor* previous = g_current;
-  g_current = supervisor;
-  return previous;
-}
-
-Supervisor* Supervisor::current() noexcept { return g_current; }
 
 SupervisorStats Supervisor::stats() const {
   SupervisorStats s;
@@ -196,7 +186,7 @@ void Supervisor::for_each_slot(
     const std::string& stage_name, std::size_t count,
     const std::function<std::string(std::size_t)>& compute,
     const std::function<void(std::size_t, const std::string&)>& apply,
-    int jobs) {
+    int jobs, obs::Observer* observer) {
   const std::string stage = unique_stage(stage_name);
 
   // Replay phase (serial): journaled slots recover their stored payloads.
@@ -266,7 +256,7 @@ void Supervisor::for_each_slot(
   // Observability from the driving thread only (the shard rules of
   // docs/observability.md): per-stage counters plus a journal.stage
   // instant; journal.interrupt marks a drained stop.
-  obs::Observer* const o = obs::default_observer();
+  obs::Observer* const o = observer;
   if (o && o->metrics) {
     o->metrics->counter("recovery.slots.replayed").inc(replayed);
     o->metrics->counter("recovery.slots.executed").inc(executed);
@@ -291,27 +281,42 @@ void Supervisor::for_each_slot(
   }
 }
 
-Supervisor* current_for_sweep() noexcept {
-  return exec::inside_pool_worker() ? nullptr : g_current;
-}
-
 void supervised_sweep(
-    const std::string& stage_name, std::size_t count,
-    const std::function<std::string(std::size_t)>& compute,
+    const RunContext& ctx, const std::string& stage_name, std::size_t count,
+    const std::function<std::string(std::size_t, obs::Observer*)>& compute,
     const std::function<void(std::size_t, const std::string&)>& apply,
     int jobs) {
-  if (Supervisor* sup = current_for_sweep()) {
-    sup->for_each_slot(stage_name, count, compute, apply, jobs);
+  // Shards exist only for an observed sweep; the deque pins them.
+  std::deque<obs::ObservationShard> shards;
+  if (ctx.observer)
+    for (std::size_t i = 0; i < count; ++i) shards.emplace_back(ctx.observer);
+  const auto task = [&](std::size_t i) {
+    obs::Observer* const o = ctx.observer ? shards[i].observer() : nullptr;
+    obs::ProfileScope exec_scope(o ? o->profiler : nullptr,
+                                 obs::ProfilePhase::kExecTask);
+    return compute(i, o);
+  };
+  const auto fold = [&](std::size_t i, const std::string& payload) {
+    if (ctx.observer) shards[i].merge_into_parent();
+    apply(i, payload);
+  };
+  if (ctx.supervisor) {
+    ctx.supervisor->for_each_slot(stage_name, count, task, fold, jobs,
+                                  ctx.observer);
     return;
   }
   std::vector<std::string> payloads(count);
   exec::parallel_for_each(
-      count, [&](std::size_t i) { payloads[i] = compute(i); }, jobs);
-  for (std::size_t i = 0; i < count; ++i) apply(i, payloads[i]);
-}
-
-bool run_interrupted() noexcept {
-  return g_current != nullptr && g_current->interrupted();
+      count, [&](std::size_t i) { payloads[i] = task(i); }, jobs);
+  for (std::size_t i = 0; i < count; ++i) fold(i, payloads[i]);
 }
 
 }  // namespace sesp::recovery
+
+namespace sesp {
+
+bool RunContext::interrupted() const noexcept {
+  return supervisor != nullptr && supervisor->interrupted();
+}
+
+}  // namespace sesp

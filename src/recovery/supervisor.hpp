@@ -29,6 +29,9 @@
 //     the tool exits with kExitInterrupted (75, EX_TEMPFAIL) after printing
 //     a resume hint.
 //
+// The owner (a tool, the server's sweep executor) passes a supervisor to
+// the one sweep it supervises in a RunContext (recovery/run_context.hpp).
+//
 // Deadlines are enforced cooperatively (checked when the attempt returns):
 // slot functions are pure compute with simulator-level step/time watchdogs
 // of their own, so a true hang is already bounded below; killing threads
@@ -50,6 +53,7 @@
 #include <string_view>
 
 #include "recovery/journal.hpp"
+#include "recovery/run_context.hpp"
 
 namespace sesp::recovery {
 
@@ -112,14 +116,7 @@ class Supervisor {
   Supervisor(const Supervisor&) = delete;
   Supervisor& operator=(const Supervisor&) = delete;
 
-  // Process-wide installation (the sweep drivers have no supervisor
-  // parameter; they consult current_for_sweep()). Install/uninstall from
-  // the main thread only; returns the previous supervisor.
-  static Supervisor* install(Supervisor* supervisor) noexcept;
-  static Supervisor* current() noexcept;
-
   RunJournal* journal() noexcept { return journal_.get(); }
-  const TaskPolicy& policy() const noexcept { return policy_; }
   SupervisorStats stats() const;
 
   // Routes SIGINT/SIGTERM into the stop flag for the supervisor's
@@ -139,12 +136,13 @@ class Supervisor {
   // order after the barrier. apply() always receives the encoded payload —
   // fresh or replayed, the driver decodes the same bytes. Slots skipped by
   // an interrupt get no apply; the caller checks interrupted() and treats
-  // the fold as partial.
+  // the fold as partial. The stage's recovery.* counters and journal
+  // instants go to `observer` (may be null), from the calling thread.
   void for_each_slot(
       const std::string& stage_name, std::size_t count,
       const std::function<std::string(std::size_t)>& compute,
       const std::function<void(std::size_t, const std::string&)>& apply,
-      int jobs = 0);
+      int jobs = 0, obs::Observer* observer = nullptr);
 
  private:
   std::string unique_stage(const std::string& name);
@@ -177,25 +175,17 @@ class Supervisor {
   std::atomic<std::int64_t> failures_{0};
 };
 
-// The supervisor the sweep drivers should use right now: the installed one,
-// except inside a pool worker (a nested sweep journals nothing — its outer
-// slot already checkpoints the whole nested result).
-Supervisor* current_for_sweep() noexcept;
-
-// The single sweep entry point the drivers call: routes through the
-// installed supervisor when one applies (journal replay, task policy,
-// interrupt draining), and otherwise runs the same compute→payload→apply
-// round trip directly on the pool. Both paths fold the *decoded* payload in
-// slot order, so supervised, resumed and plain runs produce byte-identical
-// reports by construction.
+// The single sweep entry point the drivers call. Task i computes under the
+// kExecTask profile scope with its own ObservationShard of ctx.observer
+// (none is made without one). With ctx.supervisor the slots go through
+// for_each_slot (journal replay, task policy, interrupt draining), else the
+// same compute -> payload -> apply round trip runs directly on the pool.
+// Either way shard i is merged and payload i applied in slot order, so
+// supervised, resumed and plain runs produce byte-identical reports.
 void supervised_sweep(
-    const std::string& stage_name, std::size_t count,
-    const std::function<std::string(std::size_t)>& compute,
+    const RunContext& ctx, const std::string& stage_name, std::size_t count,
+    const std::function<std::string(std::size_t, obs::Observer*)>& compute,
     const std::function<void(std::size_t, const std::string&)>& apply,
     int jobs = 0);
-
-// True when a supervisor is installed and has been interrupted — the tools'
-// "skip the report, exit kExitInterrupted" check.
-bool run_interrupted() noexcept;
 
 }  // namespace sesp::recovery

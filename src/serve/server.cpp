@@ -105,11 +105,12 @@ void set_nonblocking(int fd) {
 
 }  // namespace
 
-Server::Server(ServerConfig config)
+Server::Server(ServerConfig config, obs::Observer* observer)
     : config_(std::move(config)),
       cache_(config_.admission.cache_capacity),
       connection_gate_(config_.admission.max_connections),
-      observer_(&metrics_) {
+      parent_(obs::resolve(observer)),
+      observer_(&metrics_, parent_ && parent_->trace ? &trace_ : nullptr) {
   observer_.profiler = &profiler_;
 }
 
@@ -158,7 +159,7 @@ bool Server::start(std::string* error) {
   accept_thread_ = std::thread(&Server::accept_loop, this);
   for (std::int32_t i = 0; i < config_.admission.heavy_workers; ++i)
     heavy_threads_.emplace_back(&Server::heavy_worker_loop, this);
-  excl_thread_ = std::thread(&Server::exclusive_loop, this);
+  sweep_thread_ = std::thread(&Server::sweep_loop, this);
   return true;
 }
 
@@ -172,7 +173,7 @@ void Server::request_drain() {
     const char b = 1;
     [[maybe_unused]] const ssize_t k = ::write(wake_pipe_[1], &b, 1);
   }
-  excl_cv_.notify_all();
+  sweep_cv_.notify_all();
 }
 
 void Server::stop() {
@@ -183,7 +184,7 @@ void Server::stop() {
   }
   request_drain();
   heavy_cv_.notify_all();
-  excl_cv_.notify_all();
+  sweep_cv_.notify_all();
 
   if (accept_thread_.joinable()) accept_thread_.join();
   std::map<std::uint64_t, std::thread> conns;
@@ -197,7 +198,7 @@ void Server::stop() {
   for (std::thread& t : heavy_threads_)
     if (t.joinable()) t.join();
   heavy_threads_.clear();
-  if (excl_thread_.joinable()) excl_thread_.join();
+  if (sweep_thread_.joinable()) sweep_thread_.join();
 
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -209,9 +210,10 @@ void Server::stop() {
   }
   running_.store(false);
 
-  // Fold the server-private observability into the process default. Every
-  // worker thread is joined above, so this is the single-writer moment.
-  obs::Observer* def = obs::default_observer();
+  // Fold the server-private observability into the server's observer.
+  // Every worker thread is joined above, so this is the single-writer
+  // moment.
+  obs::Observer* const def = parent_;
   if (def == nullptr) return;
   std::lock_guard<std::mutex> lk(obs_mu_);
   if (def->metrics != nullptr) {
@@ -238,6 +240,7 @@ void Server::stop() {
     def->metrics->counter("serve.cache.evictions").inc(cs.evictions);
   }
   if (def->profiler != nullptr) def->profiler->merge_from(profiler_);
+  if (observer_.trace != nullptr) def->trace->merge_from(trace_);
 }
 
 bool Server::interrupted() const noexcept {
@@ -428,8 +431,6 @@ std::string Server::dispatch(const Request& r, obs::Profiler* profiler) {
                            std::string("bound failed: ") + e.what());
       }
     case Op::kRun:
-      return r.run.adversary == "worst" ? submit_exclusive_run(r)
-                                        : submit_heavy(r);
     case Op::kReplay: return submit_heavy(r);
     case Op::kSweep: return submit_sweep(r);
     default: break;
@@ -592,38 +593,7 @@ std::string Server::submit_heavy(const Request& r) {
       heavy_cv_.notify_one();
     }
   }
-  return await_job(r, digest, fut);
-}
-
-std::string Server::submit_exclusive_run(const Request& r) {
-  const std::uint64_t digest = request_digest(r);
-  std::shared_future<JobResult> fut;
-  {
-    std::lock_guard<std::mutex> lk(inflight_mu_);
-    const auto it = inflight_.find(digest);
-    if (it != inflight_.end()) {
-      ++counters_.coalesced;
-      fut = it->second;
-    } else {
-      {
-        std::lock_guard<std::mutex> qk(excl_mu_);
-        if (static_cast<std::int32_t>(excl_queue_.size()) >=
-            config_.admission.max_sweep_queue) {
-          ++counters_.overloaded;
-          return error_reply(r.id, Status::kOverloaded,
-                             "exclusive queue full",
-                             config_.admission.retry_after_ms);
-        }
-        auto prom = std::make_shared<std::promise<JobResult>>();
-        fut = prom->get_future().share();
-        inflight_[digest] = fut;
-        excl_queue_.push_back(ExclusiveJob{ExclusiveJob::Kind::kWorstCase, r,
-                                           digest, std::move(prom)});
-      }
-      excl_cv_.notify_one();
-    }
-  }
-  return await_job(r, digest, fut);
+  return await_job(r, fut);
 }
 
 std::string Server::submit_sweep(const Request& r) {
@@ -651,8 +621,8 @@ std::string Server::submit_sweep(const Request& r) {
       return ok_reply(r.id, os.str());
     }
     {
-      std::lock_guard<std::mutex> qk(excl_mu_);
-      if (static_cast<std::int32_t>(excl_queue_.size()) >=
+      std::lock_guard<std::mutex> qk(sweep_mu_);
+      if (static_cast<std::int32_t>(sweep_queue_.size()) >=
           config_.admission.max_sweep_queue) {
         ++counters_.overloaded;
         return error_reply(r.id, Status::kOverloaded, "sweep queue full",
@@ -667,10 +637,9 @@ std::string Server::submit_sweep(const Request& r) {
                                               kJournalTool, digest, &jerr);
         if (j) j->append(kRequestStage, 0, render_request(r));
       }
-      excl_queue_.push_back(
-          ExclusiveJob{ExclusiveJob::Kind::kSweep, r, digest, nullptr});
+      sweep_queue_.push_back(SweepJob{r, digest});
     }
-    excl_cv_.notify_one();
+    sweep_cv_.notify_one();
   }
   std::ostringstream os;
   obs::JsonWriter w(os);
@@ -682,9 +651,8 @@ std::string Server::submit_sweep(const Request& r) {
   return ok_reply(r.id, os.str());
 }
 
-std::string Server::await_job(const Request& r, std::uint64_t digest,
+std::string Server::await_job(const Request& r,
                               std::shared_future<JobResult> future) {
-  (void)digest;
   using clock = std::chrono::steady_clock;
   std::int64_t deadline_ms = r.deadline_ms > 0
                                  ? r.deadline_ms
@@ -751,95 +719,99 @@ void Server::heavy_worker_loop() {
   }
 }
 
-void Server::exclusive_loop() {
+void Server::sweep_loop() {
   for (;;) {
-    ExclusiveJob job;
+    SweepJob job;
     {
-      std::unique_lock<std::mutex> lk(excl_mu_);
-      excl_cv_.wait(lk, [&] {
-        return stopping_.load() || draining_.load() || !excl_queue_.empty();
+      std::unique_lock<std::mutex> lk(sweep_mu_);
+      sweep_cv_.wait(lk, [&] {
+        return stopping_.load() || draining_.load() || !sweep_queue_.empty();
       });
       if (stopping_.load() || draining_.load()) break;
-      job = std::move(excl_queue_.front());
-      excl_queue_.pop_front();
+      job = std::move(sweep_queue_.front());
+      sweep_queue_.pop_front();
     }
-    if (job.kind == ExclusiveJob::Kind::kSweep) {
-      if (config_.admission.test_heavy_delay_ms > 0)
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(config_.admission.test_heavy_delay_ms));
-      execute_sweep(job.request, job.digest);
-    } else {
-      JobResult res = compute_worst_case(job.request);
-      job.promise->set_value(std::move(res));
-      std::lock_guard<std::mutex> lk(inflight_mu_);
-      inflight_.erase(job.digest);
-    }
+    if (config_.admission.test_heavy_delay_ms > 0)
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(config_.admission.test_heavy_delay_ms));
+    execute_sweep(job.request, job.digest);
   }
-  // Drain: abandoned worst-case jobs get a structured Overloaded; queued
-  // sweeps stay journaled on disk and resumable (the exit-75 contract).
-  std::deque<ExclusiveJob> leftover;
-  {
-    std::lock_guard<std::mutex> lk(excl_mu_);
-    leftover.swap(excl_queue_);
-  }
-  for (ExclusiveJob& job : leftover) {
-    if (job.kind == ExclusiveJob::Kind::kWorstCase) {
-      job.promise->set_value(JobResult{Status::kOverloaded, "draining"});
-      std::lock_guard<std::mutex> lk(inflight_mu_);
-      inflight_.erase(job.digest);
-    } else {
-      sweep_interrupted_.store(true);
-      ++counters_.sweeps_interrupted;
-    }
+  // Drain: queued sweeps stay journaled on disk and resumable (the exit-75
+  // contract).
+  std::lock_guard<std::mutex> lk(sweep_mu_);
+  if (!sweep_queue_.empty()) {
+    sweep_interrupted_.store(true);
+    counters_.sweeps_interrupted += static_cast<std::int64_t>(
+        sweep_queue_.size());
+    sweep_queue_.clear();
   }
 }
 
 // --- Compute ---------------------------------------------------------------
 
+void Server::merge_job(obs::ObservationShard& shard) {
+  std::lock_guard<std::mutex> lk(obs_mu_);
+  shard.merge_into_parent();
+}
+
+// A single run or, for adversary=worst, the worst-case family; either way
+// observed through a shard of the server's observer, without a supervisor.
 Server::JobResult Server::compute_run(const Request& r) {
-  obs::Profiler local;
   JobResult res;
   obs::ObservationShard shard(&observer_);
+  const bool worst = r.run.adversary == "worst";
   try {
-    obs::ProfileScope scope(&local, obs::ProfilePhase::kServeExec);
+    obs::ProfileScope scope(shard.observer()->profiler,
+                            obs::ProfilePhase::kServeExec);
     const RunPlan plan = resolve_plan(r.run);
-    const Verdict verdict = plan.run(nullptr, shard.observer()).verdict;
     std::ostringstream os;
     obs::JsonWriter w(os);
     w.begin_object();
     write_run_fields(w, r.run, plan.algorithm());
-    w.field("sessions", verdict.sessions);
-    w.field("admissible", verdict.admissible);
-    w.field("solves", verdict.solves);
-    if (verdict.termination_time)
-      w.field("termination", *verdict.termination_time);
-    w.field("rounds", verdict.rounds.rounds_ceiling());
-    if (verdict.gamma) w.field("gamma", *verdict.gamma);
+    if (worst) {
+      const WorstCase wc = plan.worst_case(RunContext{shard.observer()});
+      w.field("runs", static_cast<std::int64_t>(wc.runs));
+      w.field("all_solved", wc.all_solved);
+      w.field("min_sessions", wc.min_sessions);
+      w.field("max_time", wc.max_termination);
+      w.field("max_rounds", wc.max_rounds);
+      if (!wc.first_failure.empty())
+        w.field("first_failure", wc.first_failure);
+    } else {
+      const Verdict verdict = plan.run(nullptr, shard.observer()).verdict;
+      w.field("sessions", verdict.sessions);
+      w.field("admissible", verdict.admissible);
+      w.field("solves", verdict.solves);
+      if (verdict.termination_time)
+        w.field("termination", *verdict.termination_time);
+      w.field("rounds", verdict.rounds.rounds_ceiling());
+      if (verdict.gamma) w.field("gamma", *verdict.gamma);
+    }
     w.end_object();
     res = JobResult{Status::kOk, os.str()};
   } catch (const std::exception& e) {
-    res = JobResult{Status::kBadRequest, std::string("run failed: ") +
-                                             e.what()};
+    res = JobResult{Status::kBadRequest,
+                    std::string(worst ? "worst-case run failed: "
+                                      : "run failed: ") +
+                        e.what()};
   }
-  {
-    std::lock_guard<std::mutex> lk(obs_mu_);
-    shard.merge_into_parent();
-    profiler_.merge_from(local);
-  }
+  merge_job(shard);
   return res;
 }
 
 Server::JobResult Server::compute_replay(const Request& r) {
-  obs::Profiler local;
   JobResult res;
+  obs::ObservationShard shard(&observer_);
   try {
-    obs::ProfileScope scope(&local, obs::ProfilePhase::kServeExec);
+    obs::ProfileScope scope(shard.observer()->profiler,
+                            obs::ProfilePhase::kServeExec);
     std::string err;
     const auto trace = trace_from_text(r.trace_text, &err);
     if (!trace) {
       res = JobResult{Status::kBadRequest, "bad trace: " + err};
     } else {
-      const ReplayReport report = resolve_plan(r.run).replay(*trace);
+      const ReplayReport report =
+          resolve_plan(r.run).replay(*trace, shard.observer());
       std::ostringstream os;
       obs::JsonWriter w(os);
       w.begin_object();
@@ -856,40 +828,7 @@ Server::JobResult Server::compute_replay(const Request& r) {
     res = JobResult{Status::kBadRequest, std::string("replay failed: ") +
                                              e.what()};
   }
-  {
-    std::lock_guard<std::mutex> lk(obs_mu_);
-    profiler_.merge_from(local);
-  }
-  return res;
-}
-
-Server::JobResult Server::compute_worst_case(const Request& r) {
-  obs::Profiler local;
-  JobResult res;
-  try {
-    obs::ProfileScope scope(&local, obs::ProfilePhase::kServeExec);
-    const RunPlan plan = resolve_plan(r.run);
-    const WorstCase wc = plan.worst_case();
-    std::ostringstream os;
-    obs::JsonWriter w(os);
-    w.begin_object();
-    write_run_fields(w, r.run, plan.algorithm());
-    w.field("runs", static_cast<std::int64_t>(wc.runs));
-    w.field("all_solved", wc.all_solved);
-    w.field("min_sessions", wc.min_sessions);
-    w.field("max_time", wc.max_termination);
-    w.field("max_rounds", wc.max_rounds);
-    if (!wc.first_failure.empty()) w.field("first_failure", wc.first_failure);
-    w.end_object();
-    res = JobResult{Status::kOk, os.str()};
-  } catch (const std::exception& e) {
-    res = JobResult{Status::kBadRequest,
-                    std::string("worst-case run failed: ") + e.what()};
-  }
-  {
-    std::lock_guard<std::mutex> lk(obs_mu_);
-    profiler_.merge_from(local);
-  }
+  merge_job(shard);
   return res;
 }
 
@@ -919,7 +858,7 @@ void Server::execute_sweep(const Request& r, std::uint64_t digest) {
   }
 
   const RunPlan plan = resolve_plan(r.run);
-  obs::Profiler local;
+  obs::ObservationShard shard(&observer_);
   recovery::Supervisor sup(std::move(journal));
   bool chaos_here = false;
   if (config_.chaos_stop_after >= 0 && !chaos_armed_.exchange(true)) {
@@ -930,7 +869,6 @@ void Server::execute_sweep(const Request& r, std::uint64_t digest) {
     std::lock_guard<std::mutex> lk(sup_mu_);
     active_sup_ = &sup;
   }
-  recovery::Supervisor* prev = recovery::Supervisor::install(&sup);
   // request_drain between the active_sup_ registration races above would
   // have set draining_ first; re-check so a drained server never starts a
   // sweep it cannot stop.
@@ -939,24 +877,21 @@ void Server::execute_sweep(const Request& r, std::uint64_t digest) {
   DegradationReport report;
   std::string failure;
   {
-    obs::ProfileScope scope(&local, obs::ProfilePhase::kServeExec);
+    obs::ProfileScope scope(shard.observer()->profiler,
+                            obs::ProfilePhase::kServeExec);
     try {
-      report = plan.degradation();
+      report = plan.degradation(RunContext{shard.observer(), &sup});
     } catch (const std::exception& e) {
       // ArithmeticOverflow passes the supervisor's task isolation: the
       // instance itself is unusable, so the ticket ends failed.
       failure = e.what();
     }
   }
-  recovery::Supervisor::install(prev);
   {
     std::lock_guard<std::mutex> lk(sup_mu_);
     active_sup_ = nullptr;
   }
-  {
-    std::lock_guard<std::mutex> lk(obs_mu_);
-    profiler_.merge_from(local);
-  }
+  merge_job(shard);
 
   if (sup.interrupted()) {
     {
@@ -1065,9 +1000,8 @@ bool Server::load_resumable_sweeps(std::string* error) {
       t.result_json = *report_payload;
     } else {
       t.state = Ticket::State::kQueued;
-      std::lock_guard<std::mutex> qk(excl_mu_);
-      excl_queue_.push_back(
-          ExclusiveJob{ExclusiveJob::Kind::kSweep, req, digest, nullptr});
+      std::lock_guard<std::mutex> qk(sweep_mu_);
+      sweep_queue_.push_back(SweepJob{req, digest});
       ++resumed_;
       ++counters_.sweeps_resumed;
     }
@@ -1124,8 +1058,9 @@ std::string Server::stats_json() const {
   w.field("heavy_limit",
           static_cast<std::int64_t>(config_.admission.max_queue));
   {
-    std::lock_guard<std::mutex> lk(excl_mu_);
-    w.field("exclusive", static_cast<std::int64_t>(excl_queue_.size()));
+    std::lock_guard<std::mutex> lk(sweep_mu_);
+    // The sweep queue keeps its sesp-serve/1 field name.
+    w.field("exclusive", static_cast<std::int64_t>(sweep_queue_.size()));
   }
   w.field("exclusive_limit",
           static_cast<std::int64_t>(config_.admission.max_sweep_queue));

@@ -6,14 +6,12 @@
 //
 //   * bound    — Table-1 cells from a digest-keyed LRU of rendered result
 //                bytes; replies are byte-identical on every hit.
-//   * run      — simulator runs on a small heavy-worker pool, coalesced by
-//                request digest (identical concurrent requests share one
-//                execution); adversary=worst routes to the exclusive
-//                executor because the worst-case family drivers merge into
-//                the process-default observer (single-writer contract).
+//   * run      — simulator runs, and adversary=worst worst-case families,
+//                on a small heavy-worker pool, coalesced by request digest
+//                (identical concurrent requests share one execution).
 //   * replay   — differential trace replay on the heavy pool.
-//   * sweep    — degradation sweeps on ONE exclusive executor thread under
-//                a recovery::Supervisor with a per-sweep journal
+//   * sweep    — degradation sweeps on ONE sweep executor thread under a
+//                recovery::Supervisor with a per-sweep journal
 //                (journal_dir/sweep-<digest>.journal); the reply is a
 //                ticket, poll returns the report. Interrupted sweeps
 //                (SIGTERM, chaos) stay resumable; --resume re-enqueues
@@ -30,10 +28,11 @@
 //     work, and interrupted() tells the tool to exit 75 (EX_TEMPFAIL).
 //
 // Threading: one accept thread, one OS thread per connection (bounded by
-// max_connections), heavy_workers run/replay executors, and exactly one
-// exclusive executor that owns Supervisor::install — supervisors and the
-// default observer are process-global singletons, so everything that
-// touches them is serialized on that thread by construction.
+// max_connections), heavy_workers run/replay executors, and one sweep
+// executor (tickets, journals and drain are per sweep). Each job observes
+// through its own shard of the server's observer and gets its supervisor
+// (sweeps only) in its RunContext; no worker reads a process global, so a
+// worst case never touches the journal of a sweep running beside it.
 
 #include <atomic>
 #include <condition_variable>
@@ -73,7 +72,7 @@ struct ServerConfig {
 };
 
 // Lock-free request-path counters (the serve.* metrics). Exposed by the
-// stats op and folded into the process-default observer at stop().
+// stats op and folded into the server's observer at stop().
 struct ServeCounters {
   std::atomic<std::int64_t> connections_accepted{0};
   std::atomic<std::int64_t> connections_shed{0};   // over the connection cap
@@ -92,7 +91,9 @@ struct ServeCounters {
 
 class Server {
  public:
-  explicit Server(ServerConfig config);
+  // `observer` (optional, unowned; null = the process default observer, if
+  // any) receives everything the server observed, folded in at stop().
+  explicit Server(ServerConfig config, obs::Observer* observer = nullptr);
   ~Server();
 
   Server(const Server&) = delete;
@@ -110,7 +111,7 @@ class Server {
   void request_drain();
 
   // Full shutdown: drains, joins every thread, folds the server's private
-  // observability into the process-default observer. Idempotent.
+  // observability into its observer. Idempotent.
   void stop();
 
   // True when any sweep was interrupted (drain or chaos) — the tool's
@@ -137,14 +138,10 @@ class Server {
     std::uint64_t digest = 0;
     std::shared_ptr<std::promise<JobResult>> promise;
   };
-  // Exclusive-executor job: a ticketed sweep or a synchronous worst-case
-  // run (shares the thread because both touch process-global singletons).
-  struct ExclusiveJob {
-    enum class Kind : std::uint8_t { kSweep, kWorstCase };
-    Kind kind = Kind::kSweep;
+  // A ticketed sweep, queued for the sweep executor.
+  struct SweepJob {
     Request request;
     std::uint64_t digest = 0;
-    std::shared_ptr<std::promise<JobResult>> promise;  // kWorstCase only
   };
 
   struct Ticket {
@@ -157,7 +154,7 @@ class Server {
   void reap_finished_connections();
   void connection_loop(int fd, std::uint64_t conn_id);
   void heavy_worker_loop();
-  void exclusive_loop();
+  void sweep_loop();
 
   // One request line end-to-end; returns the reply line (no newline).
   std::string handle_line(const std::string& line, TokenBucket& bucket,
@@ -168,16 +165,17 @@ class Server {
   std::string handle_poll(const Request& request);
   std::string handle_health(const Request& request);
   std::string submit_heavy(const Request& request);
-  std::string submit_exclusive_run(const Request& request);
   std::string submit_sweep(const Request& request);
 
-  // Waits on a heavy/exclusive job future under the request deadline.
-  std::string await_job(const Request& request, std::uint64_t digest,
+  // Waits on a heavy job future under the request deadline.
+  std::string await_job(const Request& request,
                         std::shared_future<JobResult> future);
 
+  // Jobs observe through a shard of observer_ (its profiler times the
+  // serve.exec phase); this folds one in when the job ends.
+  void merge_job(obs::ObservationShard& shard);
   JobResult compute_run(const Request& request);
   JobResult compute_replay(const Request& request);
-  JobResult compute_worst_case(const Request& request);
   void execute_sweep(const Request& request, std::uint64_t digest);
 
   // Creates (or resumes) the sweep journal and guarantees the original
@@ -208,7 +206,7 @@ class Server {
   std::vector<std::uint64_t> finished_conn_ids_;      // reaped by accept loop
   std::uint64_t next_conn_id_ = 0;
 
-  // The running sweep's supervisor, registered by the exclusive executor so
+  // The running sweep's supervisor, registered by the sweep executor so
   // request_drain() can stop it from any thread.
   std::mutex sup_mu_;
   recovery::Supervisor* active_sup_ = nullptr;
@@ -218,10 +216,10 @@ class Server {
   std::deque<HeavyJob> heavy_queue_;
   std::vector<std::thread> heavy_threads_;
 
-  mutable std::mutex excl_mu_;
-  std::condition_variable excl_cv_;
-  std::deque<ExclusiveJob> excl_queue_;
-  std::thread excl_thread_;
+  mutable std::mutex sweep_mu_;
+  std::condition_variable sweep_cv_;
+  std::deque<SweepJob> sweep_queue_;
+  std::thread sweep_thread_;
 
   // In-flight run/replay coalescing: digest -> shared future.
   std::mutex inflight_mu_;
@@ -230,12 +228,15 @@ class Server {
   mutable std::mutex ticket_mu_;
   std::map<std::uint64_t, Ticket> tickets_;
 
-  // Server-private observability, folded into the process default at
-  // stop(): heavy jobs observe through ObservationShards parented here
-  // (merged under obs_mu_), connection profilers fold here at close.
+  // Server-private observability, folded into parent_ at stop(): heavy
+  // jobs and sweeps observe through ObservationShards parented here
+  // (merged under obs_mu_), connection profilers fold here at close. The
+  // trace half exists only when parent_ traces.
+  obs::Observer* parent_ = nullptr;
   mutable std::mutex obs_mu_;
   obs::MetricsRegistry metrics_;
   obs::Profiler profiler_;
+  obs::TraceSink trace_;
   obs::Observer observer_;
 };
 

@@ -1,6 +1,5 @@
 #include "sim/experiment.hpp"
 
-#include <deque>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -8,7 +7,6 @@
 
 #include "adversary/delay_strategies.hpp"
 #include "adversary/step_schedulers.hpp"
-#include "exec/thread_pool.hpp"
 #include "model/trace_io.hpp"
 #include "recovery/payload.hpp"
 #include "recovery/supervisor.hpp"
@@ -17,34 +15,24 @@ namespace sesp {
 
 namespace {
 
-// The scaffolding every sweep shares: task i runs under its own shard of the
-// default observer (the deque pins them), the kExecTask profile scope and a
-// `span_name` span (args rendered only when tracing), through
-// recovery::supervised_sweep under journal stage `stage`. Shards are merged
-// and decoded payloads folded by `apply` in task order, so the result is
-// the same for every job count and interrupt/resume history.
+// The scaffolding every sweep shares: recovery::supervised_sweep under
+// journal stage `stage` (its task shards, profile scope and slot-order
+// fold), plus a `span_name` span per task (args rendered only when
+// tracing). The result is the same for every job count and
+// interrupt/resume history.
 template <typename SpanArgs, typename Task, typename Apply>
-void run_sweep(const std::string& stage, const std::string& span_name,
-               const char* category, std::size_t count,
-               const SpanArgs& span_args, const Task& task,
+void run_sweep(const RunContext& ctx, const std::string& stage,
+               const std::string& span_name, const char* category,
+               std::size_t count, const SpanArgs& span_args, const Task& task,
                const Apply& apply) {
-  obs::Observer* const parent = obs::default_observer();
-  std::deque<obs::ObservationShard> shards;
-  for (std::size_t i = 0; i < count; ++i) shards.emplace_back(parent);
   recovery::supervised_sweep(
-      stage, count,
-      [&](std::size_t i) {
-        obs::Observer* const o = shards[i].observer();
-        obs::ProfileScope exec_scope(o ? o->profiler : nullptr,
-                                     obs::ProfilePhase::kExecTask);
+      ctx, stage, count,
+      [&](std::size_t i, obs::Observer* o) {
         obs::Span span(o ? o->trace : nullptr, span_name, category,
                        o && o->trace ? span_args(i) : std::string());
         return task(i, o);
       },
-      [&](std::size_t i, const std::string& payload) {
-        shards[i].merge_into_parent();
-        apply(i, payload);
-      });
+      apply);
 }
 
 // The substrate parameters of the sweep families: name (journal stage and
@@ -353,10 +341,10 @@ std::vector<Adversary> smm_family(const TimingConstraints& constraints,
 // Results land in per-adversary slots and are folded in family order.
 template <typename Run>
 WorstCase worst_case(const SweepSubstrate<Run>& sub,
-                     std::vector<Adversary> family) {
+                     std::vector<Adversary> family, const RunContext& ctx) {
   WorstCase wc;
   run_sweep(
-      sub.name + "_worst_case", "adversary." + sub.name + "_worst_case",
+      ctx, sub.name + "_worst_case", "adversary." + sub.name + "_worst_case",
       "adversary", family.size(),
       [&](std::size_t i) {
         return obs::args_object({obs::arg_str("label", family[i].label)});
@@ -416,19 +404,21 @@ WorstCase mpm_worst_case(const ProblemSpec& spec,
                          const TimingConstraints& constraints,
                          const MpmAlgorithmFactory& factory,
                          std::int32_t random_runs, std::uint64_t seed,
-                         const MpmRunLimits& limits) {
+                         const MpmRunLimits& limits, const RunContext& ctx) {
   return worst_case(mpm_substrate(spec, constraints, factory, limits),
-                    mpm_family(constraints, spec.n, random_runs, seed));
+                    mpm_family(constraints, spec.n, random_runs, seed),
+                    ctx.resolve());
 }
 
 WorstCase smm_worst_case(const ProblemSpec& spec,
                          const TimingConstraints& constraints,
                          const SmmAlgorithmFactory& factory,
                          std::int32_t random_runs, std::uint64_t seed,
-                         const SmmRunLimits& limits) {
+                         const SmmRunLimits& limits, const RunContext& ctx) {
   const auto sub = smm_substrate(spec, constraints, factory, limits);
-  return worst_case(sub,
-                    smm_family(constraints, sub.processes, random_runs, seed));
+  return worst_case(
+      sub, smm_family(constraints, sub.processes, random_runs, seed),
+      ctx.resolve());
 }
 
 // --- Degradation sweeps -----------------------------------------------------
@@ -532,7 +522,7 @@ DegradationReport degradation(const SweepSubstrate<Run>& sub,
                               const TimingConstraints& constraints,
                               const std::vector<std::int32_t>& crash_counts,
                               const std::vector<std::int32_t>& percents,
-                              std::uint64_t seed) {
+                              std::uint64_t seed, const RunContext& ctx) {
   DegradationReport report;
   report.algorithm = algorithm;
   report.substrate = sub.name;
@@ -541,8 +531,8 @@ DegradationReport degradation(const SweepSubstrate<Run>& sub,
     for (const std::int32_t p : percents) grid.emplace_back(k, p);
   report.cells.resize(grid.size());
   run_sweep(
-      sub.name + "_degradation", "degradation." + sub.name + "_cell", "sim",
-      grid.size(),
+      ctx, sub.name + "_degradation", "degradation." + sub.name + "_cell",
+      "sim", grid.size(),
       [&](std::size_t i) {
         return obs::args_object({obs::arg_int("crashes", grid[i].first),
                                  obs::arg_int("percent", grid[i].second)});
@@ -598,10 +588,11 @@ DegradationReport mpm_degradation(const ProblemSpec& spec,
                                   const std::vector<std::int32_t>& crash_counts,
                                   const std::vector<std::int32_t>& loss_percents,
                                   std::uint64_t seed,
-                                  const MpmRunLimits& limits) {
+                                  const MpmRunLimits& limits,
+                                  const RunContext& ctx) {
   return degradation(mpm_substrate(spec, constraints, factory, limits),
                      factory.name(), spec, constraints, crash_counts,
-                     loss_percents, seed);
+                     loss_percents, seed, ctx.resolve());
 }
 
 DegradationReport smm_degradation(
@@ -609,10 +600,10 @@ DegradationReport smm_degradation(
     const SmmAlgorithmFactory& factory,
     const std::vector<std::int32_t>& crash_counts,
     const std::vector<std::int32_t>& corrupt_percents, std::uint64_t seed,
-    const SmmRunLimits& limits) {
+    const SmmRunLimits& limits, const RunContext& ctx) {
   return degradation(smm_substrate(spec, constraints, factory, limits),
                      factory.name(), spec, constraints, crash_counts,
-                     corrupt_percents, seed);
+                     corrupt_percents, seed, ctx.resolve());
 }
 
 // --- Chaos sweeps -----------------------------------------------------------
@@ -729,7 +720,8 @@ Duration chaos_gap_hi(const TimingConstraints& c) {
 template <typename Run>
 ChaosReport chaos_sweep(const SweepSubstrate<Run>& sub,
                         const TimingConstraints& constraints,
-                        std::int32_t runs, std::uint64_t seed) {
+                        std::int32_t runs, std::uint64_t seed,
+                        const RunContext& ctx) {
   const std::size_t count = runs > 0 ? static_cast<std::size_t>(runs) : 0;
   const Duration lo = chaos_gap_lo(constraints);
   const Duration hi = chaos_gap_hi(constraints);
@@ -740,7 +732,7 @@ ChaosReport chaos_sweep(const SweepSubstrate<Run>& sub,
   };
   ChaosReport report;
   run_sweep(
-      sub.name + "_chaos", "chaos." + sub.name + "_run", "sim", count,
+      ctx, sub.name + "_chaos", "chaos." + sub.name + "_run", "sim", count,
       [&](std::size_t i) {
         return obs::args_object(
             {obs::arg_int("seed", static_cast<std::int64_t>(run_seed(i)))});
@@ -765,18 +757,20 @@ ChaosReport mpm_chaos_sweep(const ProblemSpec& spec,
                             const TimingConstraints& constraints,
                             const MpmAlgorithmFactory& factory,
                             std::int32_t runs, std::uint64_t seed,
-                            const MpmRunLimits& limits) {
+                            const MpmRunLimits& limits,
+                            const RunContext& ctx) {
   return chaos_sweep(mpm_substrate(spec, constraints, factory, limits),
-                     constraints, runs, seed);
+                     constraints, runs, seed, ctx.resolve());
 }
 
 ChaosReport smm_chaos_sweep(const ProblemSpec& spec,
                             const TimingConstraints& constraints,
                             const SmmAlgorithmFactory& factory,
                             std::int32_t runs, std::uint64_t seed,
-                            const SmmRunLimits& limits) {
+                            const SmmRunLimits& limits,
+                            const RunContext& ctx) {
   return chaos_sweep(smm_substrate(spec, constraints, factory, limits),
-                     constraints, runs, seed);
+                     constraints, runs, seed, ctx.resolve());
 }
 
 }  // namespace sesp

@@ -18,8 +18,10 @@
 // obs::ObservationShards merged in run order (docs/parallelism.md).
 // sim/run_spec.hpp turns a named run (RunSpec) into calls of these.
 //
-// The same sweeps run under recovery::supervised_sweep: with a supervisor
-// installed (tool flags --journal/--resume) each slot's result is
+// The same sweeps run under recovery::supervised_sweep. Each entry point
+// takes a trailing RunContext (recovery/run_context.hpp): its observer
+// receives the sweep's merged metrics, trace and profile, and with its
+// supervisor (tool flags --journal/--resume) each slot's result is
 // checkpointed, deadline/retry task isolation applies, and an interrupted
 // sweep resumes to a byte-identical report (docs/robustness.md).
 
@@ -33,11 +35,18 @@
 #include "model/ids.hpp"
 #include "mpm/mpm_simulator.hpp"
 #include "p2p/p2p_simulator.hpp"
+#include "recovery/run_context.hpp"
 #include "session/verifier.hpp"
 #include "smm/smm_simulator.hpp"
 #include "timing/constraints.hpp"
 
 namespace sesp {
+
+// The sweeps' default seeds, named so a caller that passes a RunContext
+// (the trailing parameter) can spell the default.
+inline constexpr std::uint64_t kWorstCaseSeed = 0x5e5510'1992ULL;
+inline constexpr std::uint64_t kDegradationSeed = 0x0FA17'1992ULL;
+inline constexpr std::uint64_t kChaosSeed = 0xC4A05'1992ULL;
 
 struct MpmOutcome {
   MpmRunResult run;
@@ -108,15 +117,17 @@ WorstCase mpm_worst_case(const ProblemSpec& spec,
                          const TimingConstraints& constraints,
                          const MpmAlgorithmFactory& factory,
                          std::int32_t random_runs = 8,
-                         std::uint64_t seed = 0x5e5510'1992ULL,
-                         const MpmRunLimits& limits = MpmRunLimits{});
+                         std::uint64_t seed = kWorstCaseSeed,
+                         const MpmRunLimits& limits = MpmRunLimits{},
+                         const RunContext& ctx = {});
 
 WorstCase smm_worst_case(const ProblemSpec& spec,
                          const TimingConstraints& constraints,
                          const SmmAlgorithmFactory& factory,
                          std::int32_t random_runs = 8,
-                         std::uint64_t seed = 0x5e5510'1992ULL,
-                         const SmmRunLimits& limits = SmmRunLimits{});
+                         std::uint64_t seed = kWorstCaseSeed,
+                         const SmmRunLimits& limits = SmmRunLimits{},
+                         const RunContext& ctx = {});
 
 // --- Degradation sweeps -----------------------------------------------------
 //
@@ -156,16 +167,18 @@ DegradationReport mpm_degradation(
     const MpmAlgorithmFactory& factory,
     const std::vector<std::int32_t>& crash_counts = {0, 1, 2},
     const std::vector<std::int32_t>& loss_percents = {0, 5, 20},
-    std::uint64_t seed = 0x0FA17'1992ULL,
-    const MpmRunLimits& limits = MpmRunLimits{});
+    std::uint64_t seed = kDegradationSeed,
+    const MpmRunLimits& limits = MpmRunLimits{},
+    const RunContext& ctx = {});
 
 DegradationReport smm_degradation(
     const ProblemSpec& spec, const TimingConstraints& constraints,
     const SmmAlgorithmFactory& factory,
     const std::vector<std::int32_t>& crash_counts = {0, 1, 2},
     const std::vector<std::int32_t>& corrupt_percents = {0, 5, 20},
-    std::uint64_t seed = 0x0FA17'1992ULL,
-    const SmmRunLimits& limits = SmmRunLimits{});
+    std::uint64_t seed = kDegradationSeed,
+    const SmmRunLimits& limits = SmmRunLimits{},
+    const RunContext& ctx = {});
 
 // --- Chaos sweeps -----------------------------------------------------------
 //
@@ -193,14 +206,16 @@ ChaosReport mpm_chaos_sweep(const ProblemSpec& spec,
                             const TimingConstraints& constraints,
                             const MpmAlgorithmFactory& factory,
                             std::int32_t runs = 32,
-                            std::uint64_t seed = 0xC4A05'1992ULL,
-                            const MpmRunLimits& limits = MpmRunLimits{});
+                            std::uint64_t seed = kChaosSeed,
+                            const MpmRunLimits& limits = MpmRunLimits{},
+                            const RunContext& ctx = {});
 
 ChaosReport smm_chaos_sweep(const ProblemSpec& spec,
                             const TimingConstraints& constraints,
                             const SmmAlgorithmFactory& factory,
                             std::int32_t runs = 32,
-                            std::uint64_t seed = 0xC4A05'1992ULL,
-                            const SmmRunLimits& limits = SmmRunLimits{});
+                            std::uint64_t seed = kChaosSeed,
+                            const SmmRunLimits& limits = SmmRunLimits{},
+                            const RunContext& ctx = {});
 
 }  // namespace sesp

@@ -103,22 +103,25 @@ ReplayReport compare(const TimedComputation& expected,
 
 ReplayReport replay_smm(const TimedComputation& trace, const ProblemSpec& spec,
                         const TimingConstraints& constraints,
-                        const SmmAlgorithmFactory& factory) {
+                        const SmmAlgorithmFactory& factory,
+                        obs::Observer* observer) {
   ScriptedScheduler scheduler =
       scheduler_from(trace, smm_total_processes(spec.n, spec.b),
                      Duration(1'000'000'000));
-  SmmSimulator sim(spec, constraints, factory, scheduler);
+  SmmSimulator sim(spec, constraints, factory, scheduler, nullptr, observer);
   const SmmRunResult run = sim.run();
   return compare(trace, run.trace);
 }
 
 ReplayReport replay_mpm(const TimedComputation& trace, const ProblemSpec& spec,
                         const TimingConstraints& constraints,
-                        const MpmAlgorithmFactory& factory) {
+                        const MpmAlgorithmFactory& factory,
+                        obs::Observer* observer) {
   ScriptedScheduler scheduler =
       scheduler_from(trace, spec.n, Duration(1'000'000'000));
   RecordedDelay delays(trace);
-  MpmSimulator sim(spec, constraints, factory, scheduler, delays);
+  MpmSimulator sim(spec, constraints, factory, scheduler, delays, nullptr,
+                   observer);
   const MpmRunResult run = sim.run();
   return compare(trace, run.trace);
 }

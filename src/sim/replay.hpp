@@ -17,6 +17,7 @@
 #include "model/ids.hpp"
 #include "model/timed_computation.hpp"
 #include "mpm/algorithm.hpp"
+#include "obs/observer.hpp"
 #include "smm/algorithm.hpp"
 #include "timing/constraints.hpp"
 
@@ -30,12 +31,16 @@ struct ReplayReport {
   std::string detail;
 };
 
+// `observer` (optional, unowned) instruments the re-execution; when null
+// the process default observer applies.
 ReplayReport replay_smm(const TimedComputation& trace, const ProblemSpec& spec,
                         const TimingConstraints& constraints,
-                        const SmmAlgorithmFactory& factory);
+                        const SmmAlgorithmFactory& factory,
+                        obs::Observer* observer = nullptr);
 
 ReplayReport replay_mpm(const TimedComputation& trace, const ProblemSpec& spec,
                         const TimingConstraints& constraints,
-                        const MpmAlgorithmFactory& factory);
+                        const MpmAlgorithmFactory& factory,
+                        obs::Observer* observer = nullptr);
 
 }  // namespace sesp

@@ -160,27 +160,30 @@ SpecOutcome RunPlan::run(FaultInjector* faults,
   return {std::move(out.run.trace), std::move(out.verdict), out.run.error};
 }
 
-WorstCase RunPlan::worst_case() const {
+WorstCase RunPlan::worst_case(const RunContext& ctx) const {
   if (mpm_)
     return mpm_worst_case(spec_.spec, constraints_, *mpm_,
-                          kWorstCaseRandomRuns, spec_.seed);
+                          kWorstCaseRandomRuns, spec_.seed, MpmRunLimits{},
+                          ctx);
   return smm_worst_case(spec_.spec, constraints_, *smm_, kWorstCaseRandomRuns,
-                        spec_.seed);
+                        spec_.seed, SmmRunLimits{}, ctx);
 }
 
-DegradationReport RunPlan::degradation() const {
+DegradationReport RunPlan::degradation(const RunContext& ctx) const {
   RunLimits limits;
   limits.max_steps = kDegradationMaxSteps;
   if (mpm_)
     return mpm_degradation(spec_.spec, constraints_, *mpm_, {0, 1, 2},
-                           {0, 5, 20}, spec_.seed, limits);
+                           {0, 5, 20}, spec_.seed, limits, ctx);
   return smm_degradation(spec_.spec, constraints_, *smm_, {0, 1, 2},
-                         {0, 5, 20}, spec_.seed, limits);
+                         {0, 5, 20}, spec_.seed, limits, ctx);
 }
 
-ReplayReport RunPlan::replay(const TimedComputation& trace) const {
-  if (mpm_) return replay_mpm(trace, spec_.spec, constraints_, *mpm_);
-  return replay_smm(trace, spec_.spec, constraints_, *smm_);
+ReplayReport RunPlan::replay(const TimedComputation& trace,
+                             obs::Observer* observer) const {
+  if (mpm_)
+    return replay_mpm(trace, spec_.spec, constraints_, *mpm_, observer);
+  return replay_smm(trace, spec_.spec, constraints_, *smm_, observer);
 }
 
 }  // namespace sesp

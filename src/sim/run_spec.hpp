@@ -83,10 +83,11 @@ class RunPlan {
   SpecOutcome run(FaultInjector* faults = nullptr,
                   obs::Observer* observer = nullptr) const;
   // The model's worst-case family with the shared random-run count.
-  WorstCase worst_case() const;
+  WorstCase worst_case(const RunContext& ctx = {}) const;
   // The default crash x fault-rate grid under the shared step budget.
-  DegradationReport degradation() const;
-  ReplayReport replay(const TimedComputation& trace) const;
+  DegradationReport degradation(const RunContext& ctx = {}) const;
+  ReplayReport replay(const TimedComputation& trace,
+                      obs::Observer* observer = nullptr) const;
 
  private:
   RunSpec spec_;

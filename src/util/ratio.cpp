@@ -14,6 +14,16 @@ std::int64_t checked_narrow(__int128 v, const char* what) {
   return static_cast<std::int64_t>(v);
 }
 
+// gcd(|a|, b) for b > 0, taken unsigned: std::gcd on int64 needs |a|
+// representable, and |INT64_MIN| is not. The result divides b, so it
+// narrows back.
+std::int64_t gcd_magnitude(std::int64_t a, std::int64_t b) {
+  const std::uint64_t mag = a < 0 ? 0 - static_cast<std::uint64_t>(a)
+                                  : static_cast<std::uint64_t>(a);
+  return static_cast<std::int64_t>(
+      std::gcd(mag, static_cast<std::uint64_t>(b)));
+}
+
 }  // namespace
 
 Ratio::Ratio(std::int64_t num, std::int64_t den) : num_(num), den_(den) {
@@ -24,12 +34,7 @@ Ratio::Ratio(std::int64_t num, std::int64_t den) : num_(num), den_(den) {
     num_ = -num_;
     den_ = -den_;
   }
-  // The gcd of the magnitudes, taken unsigned: std::gcd on int64 needs
-  // |num| representable, and |INT64_MIN| is not. g <= den, so it narrows.
-  const std::uint64_t mag = num_ < 0 ? 0 - static_cast<std::uint64_t>(num_)
-                                     : static_cast<std::uint64_t>(num_);
-  const auto g = static_cast<std::int64_t>(
-      std::gcd(mag, static_cast<std::uint64_t>(den_)));
+  const std::int64_t g = gcd_magnitude(num_, den_);
   if (g > 1) {
     num_ /= g;
     den_ /= g;
@@ -109,8 +114,8 @@ Ratio& Ratio::sub_slow(const Ratio& rhs) {
 
 Ratio& Ratio::mul_slow(const Ratio& rhs) {
   // Cross-reduce first to keep intermediates small.
-  const std::int64_t g1 = std::gcd(num_, rhs.den_);
-  const std::int64_t g2 = std::gcd(rhs.num_, den_);
+  const std::int64_t g1 = gcd_magnitude(num_, rhs.den_);
+  const std::int64_t g2 = gcd_magnitude(rhs.num_, den_);
   const __int128 n =
       static_cast<__int128>(num_ / g1) * (rhs.num_ / g2);
   const __int128 d =

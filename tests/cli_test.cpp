@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -228,6 +229,70 @@ TEST(CliTest, ConformanceResumeMatchesUninterruptedRun) {
   EXPECT_NE(mismatch.output.find("different"), std::string::npos)
       << mismatch.output;
   std::remove(journal.c_str());
+}
+
+// The --profile table on stderr as phase -> count; durations vary run to
+// run, counts may not.
+std::map<std::string, long long> profile_counts(const std::string& path) {
+  std::ifstream in(path);
+  std::map<std::string, long long> counts;
+  std::string line;
+  bool table = false;
+  while (std::getline(in, line)) {
+    if (line.rfind("profile (", 0) == 0) {
+      table = true;
+      continue;
+    }
+    std::istringstream fields(line);
+    std::string phase;
+    long long count = 0;
+    if (table && fields >> phase >> count) counts[phase] = count;
+  }
+  return counts;
+}
+
+// One counter's value from the --metrics table on stdout; -1 if absent.
+long long metric_counter(const std::string& output, const std::string& name) {
+  std::istringstream lines(output);
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::istringstream fields(line);
+    std::string key, kind;
+    long long value = 0;
+    if (fields >> key >> kind >> value && key == name && kind == "counter")
+      return value;
+  }
+  return -1;
+}
+
+// A conformance campaign observes every case it checks, and its metrics
+// and profile do not depend on --jobs: stdout, the metrics table included,
+// is byte-identical at every job count, and so are the profile's per-phase
+// counts.
+TEST(CliTest, ConformanceObservationIsJobCountInvariant) {
+  const std::string err = ::testing::TempDir() + "/conformance_profile.err";
+  std::string reference;
+  std::map<std::string, long long> reference_phases;
+  for (const std::string jobs : {"1", "2", "8"}) {
+    const auto r = run_command("( " + kConformance +
+                               " --quick --metrics --profile --jobs=" + jobs +
+                               " 2>" + err + " )");
+    ASSERT_EQ(r.status, 0) << r.output;
+    const auto phases = profile_counts(err);
+    if (jobs == "1") {
+      reference = r.output;
+      reference_phases = phases;
+      EXPECT_EQ(metric_counter(r.output, "conformance.cases"), 5000);
+      for (const char* name : {"sim.runs", "sim.steps", "verify.runs"})
+        EXPECT_GT(metric_counter(r.output, name), 0) << name;
+      EXPECT_GT(phases.count("exec.task"), 0u);
+      EXPECT_GT(phases.count("sim.step"), 0u);
+    } else {
+      EXPECT_EQ(r.output, reference) << "jobs=" << jobs;
+      EXPECT_EQ(phases, reference_phases) << "jobs=" << jobs;
+    }
+  }
+  std::remove(err.c_str());
 }
 
 TEST(CliTest, BenchMergeSkipsTruncatedRecords) {

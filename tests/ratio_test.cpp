@@ -55,6 +55,17 @@ TEST(RatioTest, Int64MinNumeratorNormalizes) {
   EXPECT_EQ(Ratio(INT64_MIN, INT64_MAX).den(), INT64_MAX);
 }
 
+// The multiply's cross-reduction takes the same unsigned-magnitude gcd, so
+// an INT64_MIN factor on either side multiplies exactly.
+TEST(RatioTest, Int64MinNumeratorMultipliesExactly) {
+  EXPECT_EQ(Ratio(INT64_MIN) * Ratio(1, 3), Ratio(INT64_MIN, 3));
+  EXPECT_EQ((Ratio(INT64_MIN) * Ratio(1, 3)).num(), INT64_MIN);
+  EXPECT_EQ((Ratio(INT64_MIN) * Ratio(1, 3)).den(), 3);
+  EXPECT_EQ(Ratio(1, 2) * Ratio(INT64_MIN), Ratio(INT64_MIN / 2));
+  EXPECT_EQ((Ratio(1, 2) * Ratio(INT64_MIN)).den(), 1);
+  EXPECT_EQ(Ratio(INT64_MIN, 3) * Ratio(3, 4), Ratio(INT64_MIN / 4));
+}
+
 TEST(RatioTest, DenominatorAlwaysPositive) {
   EXPECT_GT(Ratio(1, -3).den(), 0);
   EXPECT_EQ(Ratio(1, -3).num(), -1);

@@ -534,13 +534,14 @@ TEST(SupervisorTest, StopAfterSkipsPendingSlots) {
 //
 // run_to_completion() hard-interrupts the driver after `stop_after`
 // checkpoints, then resumes from the journal — repeatedly, until a round
-// finishes uninterrupted — and returns that final result. The byte-identity
-// contract says it must equal the plain serial run for any job count and
-// any interruption cadence.
+// finishes uninterrupted — and returns that final result. Each round hands
+// its supervisor to the driver through the RunContext `run` receives. The
+// byte-identity contract says the result must equal the plain serial run
+// for any job count and any interruption cadence.
 
 template <typename Result>
 Result run_to_completion(const std::string& name, std::int64_t stop_after,
-                         const std::function<Result()>& run,
+                         const std::function<Result(const RunContext&)>& run,
                          int* interrupted_rounds = nullptr) {
   const std::string path = temp_path(name);
   std::remove(path.c_str());
@@ -557,9 +558,7 @@ Result run_to_completion(const std::string& name, std::int64_t stop_after,
     journal->set_fsync(false);
     recovery::Supervisor sup(std::move(journal), {});
     sup.set_stop_after(stop_after);
-    recovery::Supervisor* prev = recovery::Supervisor::install(&sup);
-    Result result = run();
-    recovery::Supervisor::install(prev);
+    Result result = run(RunContext{nullptr, &sup});
     if (!sup.interrupted()) {
       if (interrupted_rounds) *interrupted_rounds = round;
       std::remove(path.c_str());
@@ -593,8 +592,9 @@ TEST(KillResumeTest, WorstCaseFamiliesAreByteIdentical) {
       int rounds = 0;
       const WorstCase mpm_got = run_to_completion<WorstCase>(
           "kr_mpm_worst.journal", stop_after,
-          [&] {
-            return mpm_worst_case(spec, mpm_constraints, mpm_factory, 4);
+          [&](const RunContext& ctx) {
+            return mpm_worst_case(spec, mpm_constraints, mpm_factory, 4,
+                                  kWorstCaseSeed, {}, ctx);
           },
           &rounds);
       EXPECT_EQ(mpm_got, mpm_ref)
@@ -602,9 +602,10 @@ TEST(KillResumeTest, WorstCaseFamiliesAreByteIdentical) {
       EXPECT_GT(rounds, 0) << "interruption hook never fired";
       EXPECT_EQ(run_to_completion<WorstCase>(
                     "kr_smm_worst.journal", stop_after,
-                    [&] {
+                    [&](const RunContext& ctx) {
                       return smm_worst_case(spec, smm_constraints,
-                                            smm_factory, 4);
+                                            smm_factory, 4, kWorstCaseSeed,
+                                            {}, ctx);
                     }),
                 smm_ref)
           << "jobs=" << jobs << " stop_after=" << stop_after;
@@ -627,7 +628,11 @@ TEST(KillResumeTest, DegradationGridIsByteIdentical) {
     JobsGuard guard(jobs);
     EXPECT_EQ(run_to_completion<DegradationReport>(
                   "kr_degradation.journal", 2,
-                  [&] { return mpm_degradation(spec, constraints, factory); }),
+                  [&](const RunContext& ctx) {
+                    return mpm_degradation(spec, constraints, factory,
+                                           {0, 1, 2}, {0, 5, 20},
+                                           kDegradationSeed, {}, ctx);
+                  }),
               reference)
         << "jobs=" << jobs;
   }
@@ -650,9 +655,9 @@ TEST(KillResumeTest, ChaosSweepDigestIsByteIdentical) {
     JobsGuard guard(jobs);
     EXPECT_EQ(run_to_completion<ChaosReport>(
                   "kr_chaos.journal", 3,
-                  [&] {
+                  [&](const RunContext& ctx) {
                     return mpm_chaos_sweep(spec, constraints, factory, 16,
-                                           0xC4A05ULL, limits);
+                                           0xC4A05ULL, limits, ctx);
                   }),
               reference)
         << "jobs=" << jobs;
@@ -677,9 +682,9 @@ TEST(KillResumeTest, ExhaustiveEnumerationIsByteIdentical) {
       JobsGuard guard(jobs);
       EXPECT_EQ(run_to_completion<ExhaustiveResult>(
                     "kr_exhaustive.journal", 2,
-                    [&] {
+                    [&](const RunContext& ctx) {
                       return explore_mpm(spec, constraints, factory, gaps,
-                                         delays, budget);
+                                         delays, budget, ctx);
                     }),
                 reference)
           << "jobs=" << jobs << " budget=" << budget;
@@ -704,7 +709,9 @@ TEST(KillResumeTest, ConformanceCampaignIsByteIdentical) {
     const conformance::ConformanceReport got =
         run_to_completion<conformance::ConformanceReport>(
             "kr_conformance.journal", 4,
-            [&] { return conformance::run_conformance(config); });
+            [&](const RunContext& ctx) {
+              return conformance::run_conformance(config, ctx);
+            });
     EXPECT_EQ(got.digest, reference.digest) << "jobs=" << jobs;
     EXPECT_EQ(got.summary(), reference.summary()) << "jobs=" << jobs;
   }

@@ -29,7 +29,9 @@
 #include "serve/admission.hpp"
 #include "serve/cache.hpp"
 #include "serve/protocol.hpp"
+#include "recovery/journal.hpp"
 #include "serve/server.hpp"
+#include "sim/run_spec.hpp"
 #include "util/digest.hpp"
 
 namespace sesp::serve {
@@ -904,6 +906,104 @@ TEST(ServerTest, OutOfRangeReplayTraceIsAMismatchAndServerSurvives) {
   ASSERT_TRUE(health);
   EXPECT_EQ(reply_status(*health), "Ok");
   server.stop();
+  fs::remove_all(dir);
+}
+
+// Trace counts, ids, ports, vars, senders and recipients are int32. A
+// replay whose trace holds a value past that is a bad trace, not a
+// different, narrowed trace.
+TEST(ServerTest, ReplayOfOutOfInt32TraceIsBadRequest) {
+  Server server(ServerConfig{});
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  const auto replay = client.call(
+      R"({"id":2,"op":"replay","model":"async","side":"mp","s":2,"n":2,"trace":"sesp-trace v1\nmeta,mpm,4294967298,2\nstep,c,4294967296,1,0,-1,-1,0,0,0\n"})",
+      30'000);
+  ASSERT_TRUE(replay);
+  EXPECT_EQ(reply_status(*replay), "BadRequest");
+  EXPECT_EQ(replay->find("error")->string, "bad trace: malformed meta counts");
+  const auto health = client.call(R"({"id":3,"op":"health"})");
+  ASSERT_TRUE(health);
+  EXPECT_EQ(reply_status(*health), "Ok");
+  server.stop();
+}
+
+// Worst-case requests (four distinct instances, each sent twice at once)
+// arrive while a journaled sweep runs. Each reply equals the in-process
+// worst case of its instance, and the sweep's journal holds the sweep's
+// own stages only: a worst case never checkpoints into it.
+TEST(ServerTest, ConcurrentWorstCaseRequestsMatchInProcessRuns) {
+  const fs::path dir = fresh_dir("sesp-serve-worst");
+  ServerConfig config;
+  config.journal_dir = dir.string();
+  config.admission.max_queue = 16;
+  config.admission.max_sweep_queue = 16;
+  Server server(config);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  TestClient control(server.port());
+  ASSERT_TRUE(control.connected());
+
+  const auto submitted = control.call(
+      R"({"id":1,"op":"sweep","substrate":"mpm","model":"semisync","s":64,"n":64,"seed":7})");
+  ASSERT_TRUE(submitted);
+  ASSERT_EQ(reply_status(*submitted), "Ok");
+  const std::string ticket =
+      submitted->find("result")->find("ticket")->string;
+
+  const char* const models[] = {"semisync", "sporadic", "periodic", "sync"};
+  std::vector<std::string> requests;
+  for (int i = 0; i < 8; ++i) {
+    const int k = i % 4;
+    requests.push_back(R"({"id":)" + std::to_string(10 + i) +
+                       R"(,"op":"run","adversary":"worst","model":")" +
+                       models[k] + R"(","s":3,"n":3,"seed":)" +
+                       std::to_string(100 + k) + "}");
+  }
+  std::vector<std::optional<obs::JsonValue>> replies(requests.size());
+  std::vector<std::thread> clients;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    clients.emplace_back([&, i] {
+      TestClient c(server.port());
+      if (c.connected()) replies[i] = c.call(requests[i], 60'000);
+    });
+  }
+  for (auto& t : clients) t.join();
+  ASSERT_TRUE(wait_report(control, ticket));
+  server.stop();
+
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_TRUE(replies[i]) << requests[i];
+    ASSERT_EQ(reply_status(*replies[i]), "Ok") << requests[i];
+    Request request;
+    ASSERT_TRUE(parse_request(requests[i], ProtocolLimits{}, &request,
+                              &error))
+        << error;
+    const WorstCase wc = RunPlan::resolve(request.run)->worst_case();
+    const obs::JsonValue& result = *replies[i]->find("result");
+    EXPECT_EQ(result.find("runs")->as_int64(), wc.runs) << requests[i];
+    EXPECT_EQ(result.find("all_solved")->boolean, wc.all_solved)
+        << requests[i];
+    EXPECT_EQ(result.find("min_sessions")->as_int64(), wc.min_sessions)
+        << requests[i];
+    EXPECT_EQ(result.find("max_time")->string,
+              wc.max_termination.to_string())
+        << requests[i];
+    EXPECT_EQ(result.find("max_rounds")->as_int64(), wc.max_rounds)
+        << requests[i];
+    EXPECT_EQ(result.find("first_failure") != nullptr,
+              !wc.first_failure.empty())
+        << requests[i];
+  }
+
+  const recovery::JournalSnapshot snap = recovery::read_journal_snapshot(
+      (dir / ("sweep-" + ticket + ".journal")).string());
+  ASSERT_TRUE(snap.ok) << snap.error;
+  ASSERT_FALSE(snap.records.empty());
+  for (const recovery::JournalRecord& rec : snap.records)
+    EXPECT_EQ(rec.stage.find("worst_case"), std::string::npos) << rec.stage;
   fs::remove_all(dir);
 }
 

@@ -140,6 +140,20 @@ TEST(TraceIoTest, RejectsBadInput) {
       {head + "msg,0,1,0,-,x,0,0,0\n", "line 3: malformed receive step"},
       {head + "step,c,0,1,-1,-1,-1,0,0,0\r\n",
        "line 3: malformed step fields"},
+      // Counts, ids, ports, vars, senders and recipients are int32: a value
+      // past it is malformed, never narrowed to a different trace.
+      {"sesp-trace v1\nmeta,mpm,4294967298,2\n", "malformed meta counts"},
+      {"sesp-trace v1\nmeta,smm,2,2147483648\n", "malformed meta counts"},
+      {head + "step,c,4294967296,1,-1,-1,-1,0,0,0\n",
+       "line 3: malformed step fields"},
+      {head + "step,c,0,1,2147483648,-1,-1,0,0,0\n",
+       "line 3: malformed step fields"},
+      {head + "step,c,0,1,-1,-2147483649,-1,0,0,0\n",
+       "line 3: malformed step fields"},
+      {head + "msg,4294967296,1,0,-,-,0,0,0\n",
+       "line 3: malformed msg fields"},
+      {head + "msg,0,4294967297,0,-,-,0,0,0\n",
+       "line 3: malformed msg fields"},
   };
   for (const auto& c : cases) {
     std::string error;

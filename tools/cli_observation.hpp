@@ -1,12 +1,12 @@
 #pragma once
 
 // Shared --metrics / --json=FILE / --trace-events=FILE / --profile handling
-// for the command-line tools. ObservationScope installs a process-wide
-// default observer for the duration of main(), so every layer underneath —
-// the simulators, verifier, adversaries, retimers, fault injector — reports
-// into one MetricsRegistry / TraceSink / Profiler without any signature
-// plumbing in the tools themselves. When no flag is given nothing is
-// installed and the run keeps the zero-observer hot path.
+// for the command-line tools. ObservationScope owns one MetricsRegistry /
+// TraceSink / Profiler for the duration of main(); the tool passes
+// observer() to what it runs (in a RunContext, or as the observer argument
+// of a single run), and every layer underneath reports into it. When no
+// flag is given observer() is null and the run keeps the zero-observer hot
+// path.
 //
 // Outputs at scope exit:
 //   --metrics            human-readable metrics table on stdout
@@ -65,12 +65,10 @@ class ObservationScope {
     observer_ = obs::Observer(&registry_,
                               opt_.trace_events.empty() ? nullptr : &sink_);
     if (opt_.profile) observer_.profiler = &profiler_;
-    previous_ = obs::set_default_observer(&observer_);
   }
 
   ~ObservationScope() {
     if (!opt_.any()) return;
-    obs::set_default_observer(previous_);
     if (opt_.metrics) std::cout << registry_.to_string();
     if (opt_.profile) std::cerr << profiler_.to_string();
     if (!opt_.json_out.empty()) {
@@ -112,8 +110,10 @@ class ObservationScope {
   ObservationScope(const ObservationScope&) = delete;
   ObservationScope& operator=(const ObservationScope&) = delete;
 
-  obs::TraceSink& sink() noexcept { return sink_; }
-  bool tracing() const noexcept { return !opt_.trace_events.empty(); }
+  // Null when no observability flag was given.
+  obs::Observer* observer() noexcept {
+    return opt_.any() ? &observer_ : nullptr;
+  }
 
  private:
   ObservationOptions opt_;
@@ -122,7 +122,6 @@ class ObservationScope {
   obs::TraceSink sink_;
   obs::Profiler profiler_;
   obs::Observer observer_;
-  obs::Observer* previous_ = nullptr;
 };
 
 }  // namespace sesp

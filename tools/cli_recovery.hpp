@@ -3,10 +3,11 @@
 // Shared --journal / --resume / --task-deadline / --task-retries handling
 // for the command-line tools (docs/robustness.md). RecoveryScope builds the
 // checkpoint journal (fresh or resumed), validates that a resumed journal
-// really belongs to this tool and configuration, and installs a
+// really belongs to this tool and configuration, and owns a
 // recovery::Supervisor (with SIGINT/SIGTERM draining) for the duration of
-// main() — every supervised sweep underneath checkpoints per-slot results
-// without any signature plumbing in the tools themselves.
+// main(). The tool passes supervisor() in the RunContext of the sweep it
+// runs, which then checkpoints per-slot results, and asks interrupted()
+// afterwards.
 //
 // Exit protocol: flag/journal errors are usage errors (exit 2, before any
 // work runs); a drained interrupt exits recovery::kExitInterrupted (75,
@@ -101,11 +102,6 @@ class RecoveryScope {
         std::make_unique<recovery::Supervisor>(std::move(journal),
                                                opt.policy);
     supervisor_->install_signal_handlers();
-    recovery::Supervisor::install(supervisor_.get());
-  }
-
-  ~RecoveryScope() {
-    if (supervisor_) recovery::Supervisor::install(nullptr);
   }
 
   RecoveryScope(const RecoveryScope&) = delete;
@@ -113,6 +109,8 @@ class RecoveryScope {
 
   // Flag/journal mismatch — the tool exits 2 without running anything.
   bool error() const noexcept { return error_; }
+
+  recovery::Supervisor* supervisor() noexcept { return supervisor_.get(); }
 
   // Folds the interrupt outcome into the tool's exit status: when the run
   // was drained, prints the resume hint and returns kExitInterrupted

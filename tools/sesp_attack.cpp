@@ -163,13 +163,17 @@ AttackOutcome decode_outcome(const std::string& payload) {
 
 // Runs the whole construction as a single supervised slot: a journaled run
 // resumes straight to the decoded outcome, and a deadline or exception
-// becomes a certified=false outcome instead of a process abort.
+// becomes a certified=false outcome instead of a process abort. The attack
+// observes through the slot's context.
 AttackOutcome run_supervised_attack(
-    const std::function<AttackOutcome()>& attack) {
+    const RunContext& ctx,
+    const std::function<AttackOutcome(const RunContext&)>& attack) {
   AttackOutcome outcome;
   recovery::supervised_sweep(
-      "attack", 1,
-      [&](std::size_t) { return encode_outcome(attack()); },
+      ctx, "attack", 1,
+      [&](std::size_t, obs::Observer* o) {
+        return encode_outcome(attack(RunContext{o}));
+      },
       [&](std::size_t, const std::string& payload) {
         outcome = decode_outcome(payload);
       });
@@ -187,7 +191,7 @@ int finish(const Options& opt, const AttackOutcome& outcome) {
   return outcome.certified ? 0 : 1;
 }
 
-int attack_smm(const Options& opt, bool async_mode) {
+int attack_smm(const Options& opt, bool async_mode, const RunContext& ctx) {
   std::unique_ptr<SmmAlgorithmFactory> factory;
   if (opt.alg.rfind("too-few-steps", 0) == 0)
     factory = std::make_unique<TooFewStepsSmmFactory>(alg_param(opt.alg));
@@ -206,10 +210,11 @@ int attack_smm(const Options& opt, bool async_mode) {
   const auto constraints =
       async_mode ? async_attack_constraints(opt.spec)
                  : TimingConstraints::semi_synchronous(opt.c1, opt.c2);
-  const AttackOutcome outcome = run_supervised_attack([&] {
+  const auto attack = [&](const RunContext& slot) {
     const SemiSyncRetimingResult result =
-        async_mode ? attack_async_smm(opt.spec, *factory)
-                   : attack_semisync_smm(opt.spec, constraints, *factory);
+        async_mode
+            ? attack_async_smm(opt.spec, *factory, slot)
+            : attack_semisync_smm(opt.spec, constraints, *factory, 0, slot);
     AttackOutcome o;
     o.summary = result.to_string();
     if (result.certificate) {
@@ -219,12 +224,14 @@ int attack_smm(const Options& opt, bool async_mode) {
           async_mode ? TimingConstraints::asynchronous() : constraints));
     }
     return o;
-  });
-  if (recovery::run_interrupted()) return 1;
+  };
+  const AttackOutcome outcome = run_supervised_attack(ctx, attack);
+  if (ctx.interrupted()) return 1;
   return finish(opt, outcome);
 }
 
-int attack_mpm(const Options& opt, bool semisync_mode) {
+int attack_mpm(const Options& opt, bool semisync_mode,
+               const RunContext& ctx) {
   std::unique_ptr<MpmAlgorithmFactory> factory;
   if (opt.alg.rfind("too-few-steps", 0) == 0)
     factory = std::make_unique<TooFewStepsMpmFactory>(alg_param(opt.alg));
@@ -247,10 +254,11 @@ int attack_mpm(const Options& opt, bool semisync_mode) {
       semisync_mode
           ? TimingConstraints::semi_synchronous(opt.c1, opt.c2, opt.d2)
           : TimingConstraints::sporadic(opt.c1, opt.d1, opt.d2);
-  const AttackOutcome outcome = run_supervised_attack([&] {
+  const auto attack = [&](const RunContext& slot) {
     const SporadicRetimingResult result =
-        semisync_mode ? attack_semisync_mpm(opt.spec, constraints, *factory)
-                      : attack_sporadic_mpm(opt.spec, constraints, *factory);
+        semisync_mode
+            ? attack_semisync_mpm(opt.spec, constraints, *factory, slot)
+            : attack_sporadic_mpm(opt.spec, constraints, *factory, slot);
     AttackOutcome o;
     o.summary = result.to_string();
     if (result.certificate) {
@@ -259,8 +267,9 @@ int attack_mpm(const Options& opt, bool semisync_mode) {
           make_certificate(result, factory->name(), opt.spec, constraints));
     }
     return o;
-  });
-  if (recovery::run_interrupted()) return 1;
+  };
+  const AttackOutcome outcome = run_supervised_attack(ctx, attack);
+  if (ctx.interrupted()) return 1;
   return finish(opt, outcome);
 }
 
@@ -273,24 +282,25 @@ int main(int argc, char** argv) {
     sesp::usage(std::cerr);
     return 2;
   }
-  // Retimers and verifier report through the default observer; outputs are
-  // emitted when the scope closes.
+  // Runs, retimers and verifier report into the scope's observer; outputs
+  // are emitted when the scope closes.
   sesp::ObservationScope observation(opt->obs, "sesp_attack");
   sesp::RecoveryScope recovery(opt->recovery, "sesp_attack",
                                sesp::config_digest(*opt));
   if (recovery.error()) return 2;
+  const sesp::RunContext ctx{observation.observer(), recovery.supervisor()};
   std::cout << "construction: " << opt->construction
             << "  target: " << opt->alg << "  instance: s=" << opt->spec.s
             << " n=" << opt->spec.n << " b=" << opt->spec.b << "\n";
   int status = 2;
   if (opt->construction == "semisync-sm")
-    status = sesp::attack_smm(*opt, false);
+    status = sesp::attack_smm(*opt, false, ctx);
   else if (opt->construction == "async-sm")
-    status = sesp::attack_smm(*opt, true);
+    status = sesp::attack_smm(*opt, true, ctx);
   else if (opt->construction == "sporadic-mp")
-    status = sesp::attack_mpm(*opt, false);
+    status = sesp::attack_mpm(*opt, false, ctx);
   else if (opt->construction == "semisync-mp")
-    status = sesp::attack_mpm(*opt, true);
+    status = sesp::attack_mpm(*opt, true, ctx);
   else {
     std::cerr << "unknown construction\n";
     return 2;

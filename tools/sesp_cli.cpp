@@ -370,13 +370,13 @@ int report_run(const Options& opt, const TimedComputation& trace,
 
 // MPM and SMM: the Table-1 algorithm of the spec under its degradation grid,
 // its worst-case family, or one run.
-int run_table1(const Options& opt) {
+int run_table1(const Options& opt, const RunContext& ctx) {
   const RunPlan plan = *RunPlan::resolve(opt.run);
   std::cout << "algorithm:   " << plan.algorithm() << "\n";
 
   if (opt.degradation) {
-    const DegradationReport report = plan.degradation();
-    if (recovery::run_interrupted()) return 1;  // partial; finish() maps to 75
+    const DegradationReport report = plan.degradation(ctx);
+    if (ctx.interrupted()) return 1;  // partial; finish() maps to 75
     std::cout << report.to_string()
               << "solved/degraded/diagnosed: "
               << report.count(RunOutcome::kSolved) << "/"
@@ -390,8 +390,8 @@ int run_table1(const Options& opt) {
   if (status) return status;
 
   if (opt.run.adversary == "worst" && !injector) {
-    const WorstCase wc = plan.worst_case();
-    if (recovery::run_interrupted()) return 1;
+    const WorstCase wc = plan.worst_case(ctx);
+    if (ctx.interrupted()) return 1;
     std::cout << "runs:        " << wc.runs << "\n"
               << "max time:    " << wc.max_termination.to_string() << "\n";
     if (opt.run.substrate == "mpm")
@@ -404,11 +404,11 @@ int run_table1(const Options& opt) {
     return wc.all_solved ? 0 : 1;
   }
 
-  const SpecOutcome out = plan.run(injector.get());
+  const SpecOutcome out = plan.run(injector.get(), ctx.observer);
   return report_run(opt, out.trace, out.verdict, out.error, injector.get());
 }
 
-int run_p2p(const Options& opt) {
+int run_p2p(const Options& opt, const RunContext& ctx) {
   const ProblemSpec& spec = opt.run.spec;
   if (spec.n < 1) {
     std::cerr << "p2p needs n >= 1\n";
@@ -446,7 +446,7 @@ int run_p2p(const Options& opt) {
   if (status) return status;
   const P2pOutcome out =
       run_p2p_once(spec, constraints, topo, *factory, *sched, *delays,
-                   P2pRunLimits{}, injector.get());
+                   P2pRunLimits{}, injector.get(), ctx.observer);
   return report_run(opt, out.run.trace, out.verdict, out.run.error,
                     injector.get());
 }
@@ -465,8 +465,8 @@ static int cli_main(int argc, char** argv) {
   if (!opt->check_certificate.empty())
     return sesp::run_certificate_check(*opt);
 
-  // Installed for the whole dispatch so every nested layer reports into it;
-  // the metrics / JSON / trace outputs are emitted when the scope closes.
+  // Every run below reports into the scope's observer; the metrics / JSON
+  // / trace outputs are emitted when the scope closes.
   sesp::ObservationScope observation(opt->obs, "sesp_cli");
   // Checkpoint/resume supervision for the sweeps underneath (worst-case
   // families, degradation grids): journal flags are validated before any
@@ -474,14 +474,15 @@ static int cli_main(int argc, char** argv) {
   sesp::RecoveryScope recovery(opt->recovery, "sesp_cli",
                                sesp::config_digest(*opt));
   if (recovery.error()) return 2;
+  const sesp::RunContext ctx{observation.observer(), recovery.supervisor()};
 
   const sesp::RunSpec& run = opt->run;
   std::cout << "substrate:   " << run.substrate << "\n"
             << "model:       " << run.model << "\n"
             << "instance:    s=" << run.spec.s << " n=" << run.spec.n
             << " b=" << run.spec.b << "\n";
-  return recovery.finish(run.substrate == "p2p" ? sesp::run_p2p(*opt)
-                                                : sesp::run_table1(*opt));
+  return recovery.finish(run.substrate == "p2p" ? sesp::run_p2p(*opt, ctx)
+                                                : sesp::run_table1(*opt, ctx));
 }
 
 // Exact arithmetic that leaves int64 (e.g. coprime denominators near 1e6)

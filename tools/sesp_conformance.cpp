@@ -96,7 +96,7 @@ std::optional<TimingModel> parse_model(const std::string& name) {
   return std::nullopt;
 }
 
-int replay_witness_file(const Options& opt) {
+int replay_witness_file(const Options& opt, const RunContext& ctx) {
   std::ifstream in(opt.replay_file);
   if (!in) {
     std::cerr << "cannot open " << opt.replay_file << "\n";
@@ -113,7 +113,7 @@ int replay_witness_file(const Options& opt) {
   std::cout << "replaying: " << witness->descriptor.to_string() << "\n"
             << "recorded oracle: " << witness->oracle << "\n";
   const auto replay =
-      conformance::replay_witness(*witness, opt.config.oracles);
+      conformance::replay_witness(*witness, opt.config.oracles, ctx);
   if (!replay.reproduced) {
     std::cout << "NOT REPRODUCED: " << replay.detail << "\n";
     return 1;
@@ -123,7 +123,7 @@ int replay_witness_file(const Options& opt) {
   return 0;
 }
 
-int emit_golden(const Options& opt) {
+int emit_golden(const Options& opt, const RunContext& ctx) {
   for (const TimingModel model : conformance::all_models()) {
     for (const Substrate substrate : conformance::all_substrates()) {
       const std::uint64_t cell =
@@ -133,7 +133,8 @@ int emit_golden(const Options& opt) {
           model, substrate,
           conformance::case_seed(opt.config.seed, cell, 0),
           opt.config.limits);
-      const conformance::GeneratedRun run = conformance::run_case(c);
+      const conformance::GeneratedRun run =
+          conformance::run_case(c, ctx.observer);
       if (!run.ok || !run.trace) {
         std::cerr << "golden generation failed for " << c.to_string() << ": "
                   << run.error << "\n";
@@ -162,7 +163,7 @@ int emit_golden(const Options& opt) {
   return 0;
 }
 
-int run_self_test(Options opt) {
+int run_self_test(Options opt, const RunContext& ctx) {
   // Plant the reference off-by-one; every cell must light up, and the
   // shrunk witness must replay to the same failure under the same options.
   opt.config.oracles.mutate_reference = true;
@@ -171,8 +172,8 @@ int run_self_test(Options opt) {
   opt.config.minimize = true;
   opt.config.max_failures = 2;
   const conformance::ConformanceReport report =
-      conformance::run_conformance(opt.config);
-  if (recovery::run_interrupted()) return 1;
+      conformance::run_conformance(opt.config, ctx);
+  if (ctx.interrupted()) return 1;
   std::cout << report.summary();
   if (report.total_failures == 0) {
     std::cout << "SELF-TEST FAILED: planted reference bug went undetected\n";
@@ -191,7 +192,7 @@ int run_self_test(Options opt) {
     return 1;
   }
   const auto replay =
-      conformance::replay_witness(*witness, opt.config.oracles);
+      conformance::replay_witness(*witness, opt.config.oracles, ctx);
   if (!replay.reproduced) {
     std::cout << "SELF-TEST FAILED: witness did not reproduce: "
               << replay.detail << "\n";
@@ -292,15 +293,16 @@ int run(int argc, char** argv) {
   RecoveryScope recovery(opt.recovery, "sesp_conformance",
                          config_digest(opt));
   if (recovery.error()) return 2;
-  if (!opt.replay_file.empty()) return replay_witness_file(opt);
-  if (!opt.emit_golden.empty()) return emit_golden(opt);
-  if (opt.self_test) return recovery.finish(run_self_test(opt));
+  const RunContext ctx{scope.observer(), recovery.supervisor()};
+  if (!opt.replay_file.empty()) return replay_witness_file(opt, ctx);
+  if (!opt.emit_golden.empty()) return emit_golden(opt, ctx);
+  if (opt.self_test) return recovery.finish(run_self_test(opt, ctx));
 
   const conformance::ConformanceReport report =
-      conformance::run_conformance(opt.config);
+      conformance::run_conformance(opt.config, ctx);
   // A drained interrupt never prints the partial report; the journal holds
   // every finished case and --resume completes the campaign.
-  if (recovery::run_interrupted()) return recovery.finish(1);
+  if (ctx.interrupted()) return recovery.finish(1);
   std::cout << report.summary();
   for (std::size_t i = 0; i < report.failures.size(); ++i) {
     if (report.failures[i].witness.empty()) continue;

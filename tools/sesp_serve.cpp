@@ -131,12 +131,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Installed for the server's whole lifetime: at stop() the server folds
-  // its private registry/profiler and the serve.* counters into this scope,
-  // which then emits --metrics / --json / --profile outputs.
+  // Alive for the server's whole lifetime: at stop() the server folds its
+  // private registry, profiler and trace and the serve.* counters into this
+  // scope's observer, which then emits --metrics / --json / --profile /
+  // --trace-events outputs.
   sesp::ObservationScope observation(opt->obs, "sesp_serve");
 
-  sesp::serve::Server server(opt->server);
+  sesp::serve::Server server(opt->server, observation.observer());
   std::string error;
   if (!server.start(&error)) {
     std::cerr << "sesp_serve: " << error << "\n";
