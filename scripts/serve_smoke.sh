@@ -3,8 +3,10 @@
 # restart-under-load contract.
 #
 #   1. Start sesp_serve with a journal dir and --chaos=1: the first sweep's
-#      supervisor stops after one journal append, draining the server
-#      exactly as a SIGTERM would (deterministic kill point).
+#      supervisor requests a stop at its first journal append, draining the
+#      server exactly as a SIGTERM would (slots already running still
+#      journal, so the checkpointed count varies; the resumed report does
+#      not).
 #   2. Submit that sweep plus mixed traffic (bounds, runs, malformed lines,
 #      a replay of a crafted trace) through sesp_client; every reply must
 #      be structured and the server must keep serving.

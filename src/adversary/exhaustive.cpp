@@ -115,9 +115,10 @@ ExhaustiveResult explore_subtree(const ProblemSpec& spec,
                                  std::size_t fixed, std::int64_t max_runs,
                                  obs::Observer* o) {
   ExhaustiveResult result;
+  std::vector<std::int32_t> consumed;
   while (result.runs < max_runs) {
     if (o && o->exhaustive_runs) o->exhaustive_runs->inc();
-    std::vector<std::int32_t> consumed;
+    consumed.clear();
     ChoiceCursor cursor(prefix, consumed);
     ChoiceScheduler scheduler(cursor, gap_choices);
     ChoiceDelay delays(cursor, delay_choices);

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "model/trace_io.hpp"
+#include "smm/smm_simulator.hpp"
 
 namespace sesp::conformance {
 
@@ -80,6 +81,10 @@ std::optional<Witness> parse_witness(const std::string& text,
     return std::nullopt;
   }
   if (fields[8] != "-") c.algorithm_override = fields[8];
+  if (c.spec.n < 1) {
+    set_error(error, "case line needs n >= 1");
+    return std::nullopt;
+  }
 
   if (!std::getline(is, line)) {
     set_error(error, "missing oracle line");
@@ -100,6 +105,24 @@ std::optional<Witness> parse_witness(const std::string& text,
   const auto constraints = constraints_from_text(line, &kerr);
   if (!constraints) {
     set_error(error, "bad constraints: " + kerr);
+    return std::nullopt;
+  }
+  // The schedulers trust their constraints, so anything a run could not
+  // be scheduled under is refused here rather than at run time.
+  if (const auto invalid = constraints->validate()) {
+    set_error(error, "bad constraints: " + *invalid);
+    return std::nullopt;
+  }
+  const std::int32_t scheduled =
+      c.substrate == Substrate::kSharedMemory
+          ? smm_total_processes(c.spec.n, c.spec.b)
+          : c.spec.n;
+  if (constraints->model == TimingModel::kPeriodic &&
+      constraints->periods.size() < static_cast<std::size_t>(scheduled)) {
+    set_error(error, "bad constraints: " +
+                         std::to_string(constraints->periods.size()) +
+                         " periods for " + std::to_string(scheduled) +
+                         " scheduled processes");
     return std::nullopt;
   }
   c.constraints = *constraints;

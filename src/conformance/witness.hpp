@@ -30,6 +30,9 @@ struct Witness {
 };
 
 std::string write_witness(const Witness& w);
+// nullopt, with *error set, for any text a replay could not run: a
+// malformed line, n < 1, constraints that fail validate(), or a periodic
+// constraints line with fewer periods than the case schedules processes.
 std::optional<Witness> parse_witness(const std::string& text,
                                      std::string* error);
 

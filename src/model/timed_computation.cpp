@@ -4,6 +4,8 @@
 #include <map>
 #include <sstream>
 
+#include "util/scratch.hpp"
+
 #ifdef __linux__
 #include <sys/mman.h>
 #endif
@@ -12,20 +14,18 @@ namespace sesp {
 
 namespace {
 
-// Thread-local log-buffer stash (docs/performance.md "Data layout"). Only
-// buffers past this capacity are worth recycling; everything smaller is
-// cheaper to let the allocator handle.
-constexpr std::size_t kStashMin = std::size_t{1} << 12;
-
-thread_local std::vector<StepRecord> stashed_steps;
-thread_local std::vector<MessageRecord> stashed_messages;
+// Only log buffers past this capacity are worth parking for the next trace
+// (docs/performance.md "Per-run scratch"); everything smaller is cheaper to
+// let the allocator handle.
+constexpr std::size_t kParkMin = std::size_t{1} << 12;
 
 // Ask the kernel to back a large log buffer with huge pages where it can
 // (Linux THP runs in madvise-only mode on most hosts, so without the hint
 // the multi-megabyte arenas sit on 4K pages and the hot loops pay TLB
 // walks — and whether khugepaged happens to promote them is what made
 // run-to-run wall times bimodal). Capacity-only, advisory, and invisible
-// to every observable.
+// to every observable. Called once per allocation: a recycled buffer keeps
+// its advice.
 template <typename T>
 void advise_huge(std::vector<T>& v) {
 #ifdef __linux__
@@ -40,23 +40,11 @@ void advise_huge(std::vector<T>& v) {
 }
 
 template <typename T>
-void take_from_stash(std::vector<T>& dst, std::vector<T>& stash,
-                     std::size_t want) {
-  if (dst.capacity() < want && dst.empty() && stash.capacity() >= want) {
-    dst = std::move(stash);
-    dst.clear();
-    stash = {};
-  }
-  dst.reserve(want);
-  advise_huge(dst);
-}
-
-template <typename T>
-void donate_to_stash(std::vector<T>& src, std::vector<T>& stash) {
-  if (src.capacity() >= kStashMin && src.capacity() > stash.capacity()) {
-    stash = std::move(src);
-    stash.clear();
-  }
+void reserve_log(std::vector<T>& log, std::size_t want) {
+  if (log.capacity() >= want) return;
+  if (log.empty() && take_buffer(log, want)) return;
+  log.reserve(want);
+  advise_huge(log);
 }
 
 }  // namespace
@@ -69,13 +57,13 @@ TimedComputation::TimedComputation(Substrate substrate,
       num_ports_(num_ports) {}
 
 TimedComputation::~TimedComputation() {
-  donate_to_stash(steps_, stashed_steps);
-  donate_to_stash(messages_, stashed_messages);
+  park_buffer(steps_, kParkMin);
+  park_buffer(messages_, kParkMin);
 }
 
 void TimedComputation::reserve(std::size_t steps, std::size_t messages) {
-  take_from_stash(steps_, stashed_steps, steps);
-  take_from_stash(messages_, stashed_messages, messages);
+  reserve_log(steps_, steps);
+  reserve_log(messages_, messages);
 }
 
 std::size_t TimedComputation::append(StepRecord step) {

@@ -28,8 +28,8 @@ class TimedComputation {
   TimedComputation& operator=(const TimedComputation&) = default;
   TimedComputation(TimedComputation&&) = default;
   TimedComputation& operator=(TimedComputation&&) = default;
-  // Donates large log buffers to a thread-local stash for the next trace
-  // (see reserve()).
+  // Parks large log buffers on this thread's scratch free list for the next
+  // trace (see reserve()).
   ~TimedComputation();
 
   Substrate substrate() const noexcept { return substrate_; }
@@ -62,11 +62,12 @@ class TimedComputation {
 
   // Pre-sizes the step/message logs (capacity only; a hot-loop hint from
   // simulators that know their step budget, so budget-bounded runs never
-  // pay the log's geometric reallocations). Reuses buffers donated by
+  // pay the log's geometric reallocations). Reuses buffers parked by
   // earlier traces on this thread when they are big enough — sweeps build
   // and discard one multi-megabyte trace per run, and recycling the arena
-  // keeps its pages mapped instead of re-faulting them in every run.
-  // Capacity is not an observable, so reuse cannot change a recorded byte.
+  // keeps its pages mapped instead of re-faulting them in every run
+  // (util/scratch.hpp). Capacity is not an observable, so reuse cannot
+  // change a recorded byte.
   void reserve(std::size_t steps, std::size_t messages);
 
   // Time of the last recorded step, or 0 for the empty trace.

@@ -246,6 +246,18 @@ std::optional<TimedComputation> trace_from_text(const std::string& text,
   TimedComputation trace(substrate == "smm" ? Substrate::kSharedMemory
                                             : Substrate::kMessagePassing,
                          procs, ports);
+  // Size the logs by the step and msg lines ahead (capacity only), so they
+  // take parked buffers instead of growing.
+  std::size_t step_lines = 0;
+  std::size_t msg_lines = 0;
+  for (std::size_t at = 0; at < rest.size();) {
+    step_lines += rest[at] == 's' ? 1 : 0;
+    msg_lines += rest[at] == 'm' ? 1 : 0;
+    const std::size_t nl = rest.find('\n', at);
+    if (nl == std::string_view::npos) break;
+    at = nl + 1;
+  }
+  trace.reserve(step_lines, msg_lines);
 
   std::size_t line_no = 2;
   while (next_line(rest, &line)) {

@@ -39,9 +39,12 @@
 // keeping resumed and uninterrupted runs byte-identical even when they
 // fire.
 //
-// Env knobs: SESP_STOP_AFTER=N requests a stop after N journal appends —
-// the deterministic interruption point the kill-and-resume tests and the CI
-// smoke job use (a fault-injection hook for the recovery layer itself).
+// Env knobs: SESP_STOP_AFTER=N requests a stop at the N-th journal append —
+// the interruption the kill-and-resume tests and the CI smoke job use (a
+// fault-injection hook for the recovery layer itself). Slots already
+// running at that append still finish and journal, so the number of
+// checkpointed slots varies with scheduling; only the resumed report is
+// byte-identical across runs.
 
 #include <atomic>
 #include <cstdint>
@@ -125,8 +128,10 @@ class Supervisor {
   void request_stop() noexcept { stop_.store(true); }
   bool interrupted() const noexcept;
 
-  // Deterministic interruption for tests: stop after `n` journal appends
+  // Interruption for tests: request a stop at the `n`-th journal append
   // (the SESP_STOP_AFTER env knob, read at construction; < 0 disables).
+  // Slots already running then still finish and journal, so at least `n`
+  // slots are checkpointed, not exactly `n`.
   void set_stop_after(std::int64_t n) noexcept { stop_after_ = n; }
 
   // The supervised counterpart of exec::parallel_for_each. For every slot

@@ -65,9 +65,12 @@ struct ServerConfig {
   ProtocolLimits limits;
   std::string journal_dir;  // empty = sweeps run without durability
   bool resume = false;      // re-enqueue journaled sweeps at start()
-  // Chaos hook: the first executed sweep's supervisor stops after N journal
-  // appends, after which the server drains as if SIGTERM'd (exit-75 path).
-  // < 0 disables. Deterministic: the kill point is an append count.
+  // Chaos hook: the first executed sweep's supervisor requests a stop at
+  // its N-th journal append, after which the server drains as if SIGTERM'd
+  // (exit-75 path). < 0 disables. Slots already running when the stop is
+  // raised still finish and journal, so how many slots the interrupted run
+  // checkpoints varies run to run; what is deterministic is the resumed
+  // report, byte-identical to an uninterrupted run's.
   std::int64_t chaos_stop_after = -1;
 };
 

@@ -2,9 +2,21 @@
 
 #include <vector>
 
+#include "util/scratch.hpp"
+
 namespace sesp {
 
 namespace {
+
+// count_all's per-port and per-process tables, recycled per thread
+// (util/scratch.hpp); count_all sizes and zeroes them for each trace.
+struct CountTables {
+  std::vector<char> session_seen;
+  std::vector<char> port_idle;
+  std::vector<char> round_idle;
+  std::vector<char> round_seen;
+  std::vector<Time> last;
+};
 
 // The counting half of a Verdict, fused into one flat pass over the steps
 // (docs/performance.md "Verifier hot path"). The separate routines it
@@ -29,7 +41,8 @@ struct CountedVerdict {
 // it is big enough that the inliner passes on it by default.
 __attribute__((flatten))
 #endif
-CountedVerdict count_all(const TimedComputation& tc, AdmissibilityScan& adm) {
+CountedVerdict count_all(const TimedComputation& tc, AdmissibilityScan& adm,
+                         CountTables& tables) {
   CountedVerdict out;
   const auto& steps = tc.steps();
   const std::int32_t num_ports = tc.num_ports();
@@ -40,11 +53,13 @@ CountedVerdict count_all(const TimedComputation& tc, AdmissibilityScan& adm) {
   // Greedy session scan over the full trace (count_sessions). Byte flags
   // throughout, not vector<bool>: this loop runs once per trace step and a
   // predicted byte load beats a read-modify-write bit mask there.
-  std::vector<char> session_seen(ports, 0);
+  std::vector<char>& session_seen = tables.session_seen;
+  session_seen.assign(ports, 0);
   std::int32_t session_missing = num_ports;
 
   // Port idling: all_ports_idle / termination_time / the active prefix.
-  std::vector<char> port_idle(ports, 0);
+  std::vector<char>& port_idle = tables.port_idle;
+  port_idle.assign(ports, 0);
   std::int32_t ports_remaining = num_ports;
   bool active = true;  // still inside the active prefix
 
@@ -53,8 +68,10 @@ CountedVerdict count_all(const TimedComputation& tc, AdmissibilityScan& adm) {
   // in that union so the completeness test is one compare instead of a loop
   // (a process enters the union at most once per round, and resetting the
   // seen flags shrinks the union back to the idle set).
-  std::vector<char> round_idle(n, 0);
-  std::vector<char> round_seen(n, 0);
+  std::vector<char>& round_idle = tables.round_idle;
+  std::vector<char>& round_seen = tables.round_seen;
+  round_idle.assign(n, 0);
+  round_seen.assign(n, 0);
   std::size_t distinct = 0;
   std::size_t covered = 0;
   std::size_t idle_count = 0;
@@ -63,7 +80,8 @@ CountedVerdict count_all(const TimedComputation& tc, AdmissibilityScan& adm) {
   // predecessor, which zero-initialization encodes. The scan computes the
   // same per-process gaps; reuse its subtraction whenever it offers one
   // (it stops offering after an anomaly, so keep `last` updated regardless).
-  std::vector<Time> last(n, Time(0));
+  std::vector<Time>& last = tables.last;
+  last.assign(n, Time(0));
   std::optional<Duration> gamma;
 
   for (std::size_t i = 0; i < steps.size(); ++i) {
@@ -140,7 +158,8 @@ Verdict verify(const TimedComputation& tc, const ProblemSpec& spec,
   AdmissibilityScan adm_scan(tc, constraints);
   {
     obs::ProfileScope ps(prof, obs::ProfilePhase::kSessionCount);
-    CountedVerdict counted = count_all(tc, adm_scan);
+    Recycled<CountTables> tables;
+    CountedVerdict counted = count_all(tc, adm_scan, *tables);
     v.sessions = counted.sessions;
     v.all_ports_idle = counted.all_ports_idle;
     v.solves = v.sessions >= spec.s && v.all_ports_idle;

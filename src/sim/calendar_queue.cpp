@@ -21,8 +21,13 @@ std::uint32_t CalendarQueue::find_slot(std::uint64_t word) const {
 }
 
 void CalendarQueue::index_insert(std::uint64_t word, std::uint32_t bucket) {
-  if ((index_used_ + 1) * 4 > index_keys_.size() * 3)
-    index_rehash(index_keys_.size() * 2);
+  if ((index_used_ + 1) * 4 > index_keys_.size() * 3) {
+    // Mostly tombstones: purge them at the current size, and double only
+    // when the live entries need the room. The index then tracks the live
+    // distinct times, not every time a (recycled) queue ever held.
+    const std::size_t size = index_keys_.size();
+    index_rehash((index_live_ + 1) * 4 <= size ? size : size * 2);
+  }
   std::size_t probe = (word * 0x9e3779b97f4a7c15ULL) >> 1;
   probe ^= probe >> 29;
   std::size_t i = probe & index_mask_;
@@ -43,25 +48,16 @@ void CalendarQueue::index_erase(std::uint64_t word) {
 
 void CalendarQueue::index_rehash(std::size_t capacity) {
   while (capacity < (index_live_ + 1) * 2) capacity *= 2;
-  std::vector<std::uint64_t> keys(capacity, 0);
-  std::vector<std::uint32_t> vals(capacity, 0);
-  std::vector<std::uint8_t> state(capacity, kEmpty);
-  const std::size_t mask = capacity - 1;
-  for (std::size_t i = 0; i < index_keys_.size(); ++i) {
-    if (index_state_[i] != kFull) continue;
-    std::size_t probe = (index_keys_[i] * 0x9e3779b97f4a7c15ULL) >> 1;
-    probe ^= probe >> 29;
-    std::size_t j = probe & mask;
-    while (state[j] == kFull) j = (j + 1) & mask;
-    keys[j] = index_keys_[i];
-    vals[j] = index_vals_[i];
-    state[j] = kFull;
-  }
-  index_keys_ = std::move(keys);
-  index_vals_ = std::move(vals);
-  index_state_ = std::move(state);
-  index_mask_ = mask;
-  index_used_ = index_live_;
+  // Every indexed bucket is current_ or on the heap, so the index is
+  // rebuilt from them, in arrays that are reused unless they must grow.
+  index_keys_.resize(capacity);
+  index_vals_.resize(capacity);
+  index_state_.assign(capacity, kEmpty);
+  index_mask_ = capacity - 1;
+  index_used_ = 0;
+  index_live_ = 0;
+  if (current_ != kNone) index_insert(arena_[current_].key.word(), current_);
+  for (const std::uint32_t b : heap_) index_insert(arena_[b].key.word(), b);
 }
 
 // --- bucket heap -----------------------------------------------------------
@@ -133,12 +129,33 @@ CalendarQueue::Bucket& CalendarQueue::bucket_for(const Time& t) {
 void CalendarQueue::release(std::uint32_t idx) {
   Bucket& b = arena_[idx];
   index_erase(b.key.word());
+  released_events_ += b.computes.size() + b.delivers.size();
   b.computes.clear();  // capacity kept: arena reuse-after-drain
   b.delivers.clear();
   b.compute_head = 0;
   b.deliver_head = 0;
   if (last_push_ == idx) last_push_ = kNone;
   free_.push_back(idx);
+}
+
+void CalendarQueue::clear() {
+  if (current_ != kNone) release(current_);
+  for (const std::uint32_t bucket : heap_) release(bucket);
+  if (released_events_ > kTrimEvents) {
+    // Each bucket's lanes keep the largest load the bucket ever took, so
+    // over many runs the arena would ratchet toward (buckets x largest
+    // lane). Past this much work since it started empty, the queue starts
+    // over: what it retains stays bounded by recent work, and the freeing
+    // is paid for by the events that built it.
+    *this = CalendarQueue();
+    return;
+  }
+  heap_.clear();
+  current_ = kNone;
+  last_push_ = kNone;
+  current_is_min_ = false;
+  size_ = 0;
+  intern_.clear();
 }
 
 void CalendarQueue::settle_current() {

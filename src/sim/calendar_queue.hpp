@@ -26,9 +26,11 @@
 //
 // Drained buckets are released into a free list with their lane capacity
 // intact (arena reuse-after-drain), so a steady-state run allocates
-// nothing. Pop order is bit-for-bit the order the old
-// std::priority_queue<Event> produced; sim_core_equiv_test and the golden
-// corpus pin this.
+// nothing; clear() does the same for whatever a run left queued, so the
+// event kernel recycles one queue per thread across runs (util/scratch.hpp)
+// and a short run allocates nothing either. Pop order is bit-for-bit the
+// order the old std::priority_queue<Event> produced; sim_core_equiv_test
+// and the golden corpus pin this.
 
 #include <cstdint>
 #include <vector>
@@ -62,6 +64,12 @@ class CalendarQueue {
     ++size_;
   }
 
+  // Removes every event, keeping all capacity. Costs the buckets still
+  // live (plus the interned times), never the arena or index retained —
+  // except that once the queue has drained more than kTrimEvents events
+  // since it started empty, clear() frees its arena and starts over.
+  void clear();
+
   bool empty() const noexcept { return size_ == 0; }
   std::size_t size() const noexcept { return size_; }
 
@@ -80,6 +88,7 @@ class CalendarQueue {
   std::size_t buckets_allocated() const noexcept { return arena_.size(); }
   std::int64_t buckets_reused() const noexcept { return reused_; }
   std::size_t interned_times() const noexcept { return intern_.pool_size(); }
+  std::size_t index_capacity() const noexcept { return index_keys_.size(); }
 
  private:
   struct Delivery {
@@ -116,7 +125,8 @@ class CalendarQueue {
   }
 
   // Open-addressing index: PackedRatio word -> bucket. Tombstones from
-  // released buckets are purged by periodic rehash.
+  // released buckets are purged by periodic rehash, at the same capacity
+  // unless the live entries need more.
   std::uint32_t find_slot(std::uint64_t word) const;
   void index_insert(std::uint64_t word, std::uint32_t bucket);
   void index_erase(std::uint64_t word);
@@ -139,6 +149,9 @@ class CalendarQueue {
   bool current_is_min_ = false;
   std::size_t size_ = 0;
   std::int64_t reused_ = 0;
+  // Events drained (or cleared) since the queue started empty; see clear().
+  static constexpr std::size_t kTrimEvents = std::size_t{1} << 18;
+  std::size_t released_events_ = 0;
 
   enum : std::uint8_t { kEmpty = 0, kFull = 1, kTomb = 2 };
   std::vector<std::uint64_t> index_keys_;

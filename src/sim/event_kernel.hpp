@@ -17,6 +17,11 @@
 //   * the end of the run: completion, error and watchdog-margin
 //     observation, and the span's closing args.
 //
+// The queue, the pending lists and the step counts are this thread's
+// recycled run scratch (util/scratch.hpp): a run resets what the previous
+// one left live and otherwise reuses their capacity, so short runs — the
+// exhaustive walks, conformance cases — allocate none of them.
+//
 // The pop order — and with it every observable: trace bytes, fault-hook RNG
 // consumption, watchdog trip points, gauge values — is bit-identical to the
 // old (time, kind, seq) comparison heap, because delivery events never
@@ -37,6 +42,7 @@
 #include "model/timed_computation.hpp"
 #include "obs/observer.hpp"
 #include "sim/calendar_queue.hpp"
+#include "util/scratch.hpp"
 
 namespace sesp {
 
@@ -57,6 +63,13 @@ namespace sim {
 // push no deliveries, and the deliver lane compiles away.
 struct NoDeliveries {
   bool operator()(MsgId, const Time&) const noexcept { return false; }
+};
+
+// The per-run working storage of an EventKernel, recycled per thread.
+struct KernelScratch {
+  CalendarQueue queue;
+  std::vector<std::vector<MsgId>> pending;  // first num_ports() in use
+  std::vector<std::int64_t> step_count;
 };
 
 // `Result` is the substrate's run result. It has the fields `trace`,
@@ -87,6 +100,7 @@ class EventKernel {
         c_steps_(o_ ? o_->steps : nullptr),
         c_sent_(o_ ? o_->messages_sent : nullptr),
         c_dropped_(o_ ? o_->messages_dropped : nullptr) {
+    queue_.clear();
     if (o_ && o_->runs) o_->runs->inc();
   }
 
@@ -124,9 +138,13 @@ class EventKernel {
     r_ = &result;
     TimedComputation& trace = result.trace;
     const std::int32_t ports = trace.num_ports();
-    if (kMessages) pending_.resize(static_cast<std::size_t>(ports));
-    std::vector<std::int64_t> step_count(
-        static_cast<std::size_t>(trace.num_processes()), 0);
+    if (kMessages) {
+      if (pending_.size() < static_cast<std::size_t>(ports))
+        pending_.resize(static_cast<std::size_t>(ports));
+      for (ProcessId p = 0; p < ports; ++p) pending(p).clear();
+    }
+    std::vector<std::int64_t>& step_count = scratch_->step_count;
+    step_count.assign(static_cast<std::size_t>(trace.num_processes()), 0);
     std::int32_t active = ports;  // ports neither idle nor crashed
 
     for (ProcessId p = 0; p < trace.num_processes(); ++p)
@@ -353,12 +371,13 @@ class EventKernel {
   obs::Counter* const c_sent_;
   obs::Counter* const c_dropped_;
 
-  CalendarQueue queue_;
+  Recycled<KernelScratch> scratch_;
+  CalendarQueue& queue_ = scratch_->queue;
+  std::vector<std::vector<MsgId>>& pending_ = scratch_->pending;
   obs::SampledPhaseTimer pop_timer_{prof_, obs::ProfilePhase::kEventQueuePop};
   obs::SampledPhaseTimer deliver_timer_{prof_, obs::ProfilePhase::kDeliver};
   obs::SampledPhaseTimer step_timer_{prof_, obs::ProfilePhase::kProcessStep};
   obs::SampledPhaseTimer sched_timer_{prof_, obs::ProfilePhase::kSchedule};
-  std::vector<std::vector<MsgId>> pending_;
   Result* r_ = nullptr;
   CalendarQueue::Popped ev_;
   Time last_event_time_ = Time(0);

@@ -52,9 +52,14 @@ AdmissibilityScan::AdmissibilityScan(const TimedComputation& tc,
       static_cast<std::size_t>(num_processes_ > 0 ? num_processes_ : 0);
   ok_ = num_processes_ >= 0 &&
         (model_ != TimingModel::kPeriodic || c.periods.size() >= n);
-  idle_.assign(n, false);
-  last_.assign(n, Time(0));
-  pending_.resize(n);
+  Tables& t = *tables_;
+  t.idle.assign(n, 0);
+  t.last.assign(n, Time(0));
+  if (t.pending.size() < n) t.pending.resize(n);
+  for (std::size_t p = 0; p < n; ++p) t.pending[p].clear();
+  idle_ = t.idle.data();
+  last_ = t.last.data();
+  pending_ = t.pending.data();
   switch (model_) {
     case TimingModel::kSynchronous:
       delay_exact_ = true;

@@ -11,6 +11,7 @@
 
 #include "model/timed_computation.hpp"
 #include "timing/constraints.hpp"
+#include "util/scratch.hpp"
 
 namespace sesp {
 
@@ -182,10 +183,20 @@ class AdmissibilityScan {
   bool no_gap_bounds_ = false;
   bool ok_ = true;
   Time prev_time_;
-  // Byte flags, not vector<bool>: one predicted load/store per step instead
-  // of a read-modify-write bit mask in the hottest loop of the verifier.
-  std::vector<char> idle_;
-  std::vector<Time> last_;
+  // Per-process tables, recycled per thread (util/scratch.hpp) and sized
+  // by the constructor; the scan works through their data pointers.
+  struct Tables {
+    // Byte flags, not vector<bool>: one predicted load/store per step
+    // instead of a read-modify-write bit mask in the hottest loop of the
+    // verifier.
+    std::vector<char> idle;
+    std::vector<Time> last;
+    std::vector<std::vector<MsgId>> pending;  // first num_processes_ in use
+  };
+  Recycled<Tables> tables_;
+  char* idle_ = nullptr;
+  Time* last_ = nullptr;
+  std::vector<MsgId>* pending_ = nullptr;
   Duration gap_;  // gap of the last compute step; see step()
 
   // Message-check state (see step()).
@@ -195,7 +206,6 @@ class AdmissibilityScan {
   std::int64_t received_total_ = 0;
   std::int64_t matched_deliver_ = 0;
   std::int64_t matched_receive_ = 0;
-  std::vector<std::vector<MsgId>> pending_;
   bool delay_exact_ = false;
   Duration delay_lo_;
   Duration delay_hi_;

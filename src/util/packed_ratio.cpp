@@ -26,6 +26,17 @@ void RatioIntern::rehash(std::size_t capacity) {
   }
 }
 
+void RatioIntern::clear() {
+  for (std::size_t i = 0; i < pool_.size(); ++i) {
+    // Probe from the entry's home slot; earlier clears may have emptied
+    // slots on the way, so search for its index rather than stop at a hole.
+    std::size_t slot = pair_hash(pool_[i].num(), pool_[i].den()) & mask_;
+    while (slots_[slot] != i + 1) slot = (slot + 1) & mask_;
+    slots_[slot] = 0;
+  }
+  pool_.clear();
+}
+
 PackedRatio RatioIntern::pack(const Ratio& r) {
   if (PackedRatio::fits_inline(r.num(), r.den())) {
     const std::uint64_t word =

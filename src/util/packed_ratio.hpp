@@ -86,8 +86,8 @@ class PackedRatio {
 
 // Dedup pool giving PackedRatio its canonical pooled form. Single-writer;
 // pack() is O(1) amortized (one open-addressing probe sequence), unpack()
-// is an array read. pool_size() only ever grows — entries live as long as
-// the pool, so PackedRatios are trivially copyable handles.
+// is an array read. pool_size() only grows until clear() — entries live
+// until then, so PackedRatios are trivially copyable handles.
 class RatioIntern {
  public:
   RatioIntern();
@@ -115,6 +115,10 @@ class RatioIntern {
   }
 
   std::size_t pool_size() const noexcept { return pool_.size(); }
+
+  // Forgets every pooled value, invalidating their packs, and keeps the
+  // capacity. Costs the pool's size, not the index's.
+  void clear();
 
  private:
   static Ratio make_ratio(std::int64_t num, std::int64_t den) noexcept {

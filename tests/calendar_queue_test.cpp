@@ -286,6 +286,92 @@ TEST(CalendarQueueTest, BucketIndexSurvivesResizeAndTombstoneChurn) {
   EXPECT_GT(q.buckets_reused(), 0);
 }
 
+TEST(CalendarQueueTest, IndexCapacityTracksLiveTimesUnderChurn) {
+  // 64 live buckets, then 200k rounds of "drain the earliest, push a new
+  // distinct time": every round leaves a tombstone in the index. The index
+  // must purge them at its size instead of doubling each time they fill
+  // it, since a queue recycled across runs would otherwise grow forever.
+  CalendarQueue q;
+  RefQueue ref;
+  for (int i = 0; i < 64; ++i) {
+    q.push_compute(Time(i), i);
+    ref.push_compute(Time(i), i);
+  }
+  for (int i = 64; i < 200'064; ++i) {
+    expect_same_pop(q, ref);
+    q.push_compute(Time(i), i);
+    ref.push_compute(Time(i), i);
+  }
+  EXPECT_EQ(q.distinct_times(), 64u);
+  EXPECT_LE(q.index_capacity(), 1024u);
+  while (!ref.empty()) expect_same_pop(q, ref);
+}
+
+TEST(CalendarQueueTest, ClearFreesTheArenaAfterMuchWork) {
+  // A queue recycled across runs keeps its arena on clear(), until it has
+  // drained 2^18 events since it started empty; then clear() frees it, so
+  // the lanes cannot ratchet up without bound.
+  CalendarQueue q;
+  Popped out;
+  for (int i = 0; i < 64; ++i) q.push_compute(Time(i), i);
+  for (int i = 64; i < 1000; ++i) {
+    ASSERT_TRUE(q.pop(out));
+    q.push_deliver(Time(i), i % 7, i);
+  }
+  q.clear();
+  EXPECT_GE(q.buckets_allocated(), 64u);
+  for (int i = 0; i < 300'000; ++i) {
+    q.push_compute(Time(i), 0);
+    ASSERT_TRUE(q.pop(out));
+  }
+  q.push_compute(Time(0), 0);
+  q.clear();
+  EXPECT_EQ(q.buckets_allocated(), 0u);
+  EXPECT_TRUE(q.empty());
+  q.push_compute(Time(5), 3);
+  ASSERT_TRUE(q.pop(out));
+  EXPECT_EQ(out.time, Time(5));
+  EXPECT_EQ(out.process, 3);
+}
+
+TEST(CalendarQueueTest, ClearForgetsLiveEventsAndKeepsCapacity) {
+  CalendarQueue q;
+  Popped out;
+  // Live buckets on inline and pooled times, one of them half drained.
+  for (int i = 0; i < 40; ++i) {
+    q.push_compute(Time(i % 10), i);
+    q.push_deliver(Time(i, 1'000'003) + Time(1 << 20), i, i);
+  }
+  ASSERT_TRUE(q.pop(out));
+  ASSERT_GT(q.interned_times(), 0u);
+  const std::size_t allocated = q.buckets_allocated();
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.distinct_times(), 0u);
+  EXPECT_EQ(q.interned_times(), 0u);
+  EXPECT_EQ(q.buckets_allocated(), allocated);
+
+  // The cleared queue pops exactly like a fresh one.
+  CalendarQueue fresh;
+  for (int i = 0; i < 30; ++i) {
+    const Time t(i % 7, 3);
+    q.push_compute(t, i);
+    fresh.push_compute(t, i);
+    q.push_deliver(Time(i, 1'000'003), i, i);
+    fresh.push_deliver(Time(i, 1'000'003), i, i);
+  }
+  Popped want;
+  while (fresh.pop(want)) {
+    ASSERT_TRUE(q.pop(out));
+    EXPECT_EQ(out.time, want.time);
+    EXPECT_EQ(out.lane, want.lane);
+    EXPECT_EQ(out.process, want.process);
+    EXPECT_EQ(out.message, want.message);
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.buckets_allocated(), allocated);
+}
+
 // ASan-visible lifetime exercise: references returned by pop() are values
 // (no pointers into released buckets), and bucket/lane storage recycled
 // through the free list is written and read across thousands of

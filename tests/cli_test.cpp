@@ -9,10 +9,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace sesp {
 namespace {
@@ -157,6 +160,73 @@ TEST(CliTest, UnrepresentableInstanceExitsTwo) {
             std::string::npos)
       << r.output;
   EXPECT_EQ(r.output.find("all solved:"), std::string::npos) << r.output;
+}
+
+// Witness files round-trip through --replay: every witness a failing
+// campaign writes regenerates its byte-identical trace (exit 0), and a
+// witness edited into something no run can be scheduled under is refused
+// as a bad file (exit 2), never an abort.
+TEST(CliTest, WitnessReplayRoundTripsAndRefusesCraftedWitnesses) {
+  const std::string dir = ::testing::TempDir() + "/cli_witnesses";
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  std::filesystem::create_directories(dir);
+  const auto campaign = run_command(
+      kConformance + " --cases=50 --algorithm=broken-toofewsteps:1"
+                     " --model=periodic --witness-dir=" + dir);
+  ASSERT_EQ(campaign.status, 1) << campaign.output;
+
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(dir + "/witness_0.txt");
+    ASSERT_TRUE(in.good()) << campaign.output;
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_GE(lines.size(), 4u);
+  ASSERT_EQ(lines[1].rfind("case,smm,", 0), 0u) << lines[1];
+  ASSERT_EQ(lines[3].rfind("constraints,periodic,1/2,3,0,1,", 0), 0u)
+      << lines[3];
+  for (int i = 0; i < 8; ++i) {
+    const std::string file = dir + "/witness_" + std::to_string(i) + ".txt";
+    if (!std::ifstream(file).good()) break;
+    const auto replay = run_command(kConformance + " --replay=" + file);
+    EXPECT_EQ(replay.status, 0) << file << "\n" << replay.output;
+  }
+
+  // Case-line fields: case,<substrate>,<alg>,<sched>,<s>,<n>,<b>,...
+  std::vector<std::string> case_fields;
+  {
+    std::istringstream is(lines[1]);
+    for (std::string f; std::getline(is, f, ',');) case_fields.push_back(f);
+  }
+  ASSERT_EQ(case_fields.size(), 9u) << lines[1];
+  const auto with_n = [&](const std::string& n) {
+    std::vector<std::string> f = case_fields;
+    f[5] = n;
+    std::string line;
+    for (std::size_t i = 0; i < f.size(); ++i) line += (i ? "," : "") + f[i];
+    return line;
+  };
+  const std::vector<std::pair<std::size_t, std::string>> edits = {
+      {3, "constraints,periodic,1/2,3,0,1"},
+      {3, "constraints,periodic,1/2,3,0,1,3"},
+      {3, "constraints,periodic,1/2,3,0,1,0,0,0"},
+      {1, with_n("0")},
+      {1, with_n("-3")},
+  };
+  for (std::size_t e = 0; e < edits.size(); ++e) {
+    std::vector<std::string> crafted = lines;
+    crafted[edits[e].first] = edits[e].second;
+    std::string text;
+    for (const std::string& line : crafted) text += line + "\n";
+    const std::string file = dir + "/crafted_" + std::to_string(e) + ".txt";
+    write_file(file, text);
+    const auto replay = run_command(kConformance + " --replay=" + file);
+    EXPECT_EQ(replay.status, 2) << edits[e].second << "\n" << replay.output;
+    EXPECT_NE(replay.output.find("bad witness file"), std::string::npos)
+        << replay.output;
+  }
+  std::filesystem::remove_all(dir, ec);
 }
 
 // The crash-safe execution contract end to end (docs/robustness.md): a run

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "conformance/harness.hpp"
 #include "conformance/oracles.hpp"
@@ -204,6 +205,38 @@ TEST(ConformanceWitness, ParseRejectsGarbage) {
   EXPECT_FALSE(
       conformance::parse_witness("not a witness\n", &error).has_value());
   EXPECT_FALSE(error.empty());
+
+  // A periodic SMM witness (n = 2, b = 2: three scheduled processes) and
+  // one-line edits of it that no scheduler or tree layout can run.
+  const auto witness = [](const std::string& case_line,
+                          const std::string& constraints_line) {
+    return "sesp-conformance-witness v1\n" + case_line +
+           "\noracle,solves\n" + constraints_line +
+           "\nsesp-trace v1\nmeta,smm,3,2\n";
+  };
+  const std::string good_case =
+      "case,smm,0,0,2,2,2,4414019431610648415,broken-toofewsteps:1";
+  const std::string good_constraints =
+      "constraints,periodic,1/2,3,0,1,3,1/2,3";
+  ASSERT_TRUE(conformance::parse_witness(
+                  witness(good_case, good_constraints), &error)
+                  .has_value())
+      << error;
+  const std::vector<std::string> crafted = {
+      witness(good_case, "constraints,periodic,1/2,3,0,1"),
+      witness(good_case, "constraints,periodic,1/2,3,0,1,3"),
+      witness(good_case, "constraints,periodic,1/2,3,0,1,0,0,0"),
+      witness("case,smm,0,0,2,0,2,4414019431610648415,broken-toofewsteps:1",
+              good_constraints),
+      witness("case,smm,0,0,2,-3,2,4414019431610648415,broken-toofewsteps:1",
+              good_constraints),
+  };
+  for (const std::string& text : crafted) {
+    error.clear();
+    EXPECT_FALSE(conformance::parse_witness(text, &error).has_value())
+        << text;
+    EXPECT_FALSE(error.empty()) << text;
+  }
 }
 
 // Finds a failing broken-algorithm case for the shrinker tests.
